@@ -234,14 +234,19 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _load_pipeline_config(args)
+    if args.repeat < 1:
+        raise ConfigError(f"--repeat must be a positive integer, got {args.repeat}")
+    try:
+        cfgs = [with_post_nms_top(config, int(b)) for b in args.rois.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"--rois {args.rois!r}: {e}") from None
+    budgets = [cfg.proposal.post_nms_top for cfg in cfgs]
     weights = _load_model(args, config)
-    budgets = [int(b) for b in args.rois.split(",")]
     image, _ = synthesize_scene(args.seed)
 
     medians = []
     print(f"{'rois':>6} {'median_ms':>10} {'iqr_ms':>8}")
-    for budget in budgets:
-        cfg = with_post_nms_top(config, budget)
+    for budget, cfg in zip(budgets, cfgs):
         times = []
         for _ in range(args.repeat):
             t0 = time.perf_counter()

@@ -12,6 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest log-scale a predicted delta may apply (Fast/Faster R-CNN's
+# BBOX_XFORM_CLIP): a 16-pixel anchor grows at most to the 1000-pixel canvas,
+# and exp stays far from overflow.  Callers that decode network output clamp
+# tw/th to it; decode itself stays the exact inverse of encode.
+BBOX_XFORM_CLIP = math.log(1000.0 / 16.0)
+
 
 @dataclass(frozen=True)
 class BBox:

@@ -13,9 +13,18 @@ import numpy as np
 from .anchors import AnchorConfig, tile
 from .assignment import AssignmentConfig
 from .evaluation import CLASS_NAMES, Detection, EvalConfig
-from .geometry import BBox, clip, decode, iou_matrix
+from .geometry import (
+    BBOX_XFORM_CLIP,
+    BoxDelta,
+    boxes_to_array,
+    clip,
+    decode,
+    encode,
+    iou_matrix,
+)
 from .model import (
     BackboneSpec,
+    FeatureMap,
     ModelWeights,
     detect_forward,
     extract_features,
@@ -58,56 +67,68 @@ class PipelineConfig:
             )
 
 
-def _stage(name: str):
-    def deco(fn):
-        def wrapped(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except PipelineError:
-                raise
-            except Exception as e:
-                raise PipelineError(name, e) from e
+class _stage:
+    """``with _stage(name):`` re-raises any failure inside as a
+    :class:`PipelineError` tagged with the stage name."""
 
-        return wrapped
+    __slots__ = ("name",)
 
-    return deco
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if isinstance(exc, Exception) and not isinstance(exc, PipelineError):
+            raise PipelineError(self.name, exc) from exc
+        return False
+
+
+def _first_stage(
+    image: np.ndarray, weights: ModelWeights, config: PipelineConfig
+) -> tuple[FeatureMap, list[ScoredBox]]:
+    """Backbone -> RPN -> anchors -> proposal: the feature map and the ROIs.
+
+    Every layer is called through its name in this module, so a caller can
+    wrap or replace it there.
+    """
+    with _stage("backbone"):
+        fm = extract_features(image, config.backbone)
+    with _stage("rpn"):
+        scores, deltas = rpn_forward(fm, weights.rpn, config.anchors.k)
+    grid = tile(config.anchors, fm.width, fm.height)
+    with _stage("proposal"):
+        rois = propose(grid, scores, deltas, image.shape[1], image.shape[0], config.proposal)
+    return fm, rois
 
 
 def propose_rois(
     image: np.ndarray, weights: ModelWeights, config: PipelineConfig
 ) -> list[ScoredBox]:
     """Backbone + RPN + proposal stage for one preprocessed image."""
-    fm = _stage("backbone")(extract_features)(image, config.backbone)
-    scores, deltas = _stage("rpn")(rpn_forward)(fm, weights.rpn, config.anchors.k)
-    grid = tile(config.anchors, fm.width, fm.height)
-    return _stage("proposal")(propose)(
-        grid, scores, deltas, image.shape[1], image.shape[0], config.proposal
-    )
+    return _first_stage(image, weights, config)[1]
 
 
 def detect(
     image: np.ndarray, weights: ModelWeights, config: PipelineConfig = PipelineConfig()
 ) -> list[Detection]:
     """Detect fasteners in one preprocessed 800x1000 image."""
-    fm = _stage("backbone")(extract_features)(image, config.backbone)
-    scores, deltas = _stage("rpn")(rpn_forward)(fm, weights.rpn, config.anchors.k)
-    grid = tile(config.anchors, fm.width, fm.height)
-    rois = _stage("proposal")(propose)(
-        grid, scores, deltas, image.shape[1], image.shape[0], config.proposal
-    )
+    fm, rois = _first_stage(image, weights, config)
 
     img_w, img_h = image.shape[1], image.shape[0]
     candidates: list[Detection] = []
     for roi in rois:
-        pooled = _stage("roi_pool")(roi_pool)(fm, roi.box, config.roi_bins)
-        probs, cls_deltas = _stage("rcnn")(detect_forward)(pooled, weights.det)
+        with _stage("roi_pool"):
+            pooled = roi_pool(fm, roi.box, config.roi_bins)
+        with _stage("rcnn"):
+            probs, cls_deltas = detect_forward(pooled, weights.det)
         for ci, cls in enumerate(CLASS_NAMES):
             p = float(probs[1 + ci])
             if p <= config.score_threshold:
                 continue
-            from .geometry import BoxDelta
-
-            delta = BoxDelta(*cls_deltas[ci])
+            tx, ty, tw, th = cls_deltas[ci]
+            delta = BoxDelta(tx, ty, min(tw, BBOX_XFORM_CLIP), min(th, BBOX_XFORM_CLIP))
             box = clip(decode(roi.box, delta), img_w, img_h)
             if box.width <= 0 or box.height <= 0:
                 continue
@@ -153,12 +174,9 @@ def ohem_simulation(
     """Mining round per image: propose ROIs, target them against ground
     truth (foreground above the RCNN IOU threshold), score every ROI with a
     read-only forward pass and select the hardest batch."""
-    from .geometry import BoxDelta, boxes_to_array, encode
-
     results = []
     for image, ann in dataset:
-        fm = _stage("backbone")(extract_features)(image, config.backbone)
-        rois = propose_rois(image, weights, config)
+        fm, rois = _first_stage(image, weights, config)
         gt_boxes = [o.box for o in ann.objects]
         gt_classes = [1 + CLASS_NAMES.index(o.class_name) for o in ann.objects]
 

@@ -3,6 +3,11 @@
 The ROI budget (``post_nms_top``) defaults to 300; running the pipeline in
 reduced mode with a budget of 50 trades a little recall for per-ROI work in
 the second stage.
+
+NMS walks the score-sorted boxes in fixed blocks: each block is first
+checked against every box already kept, then its survivors suppress each
+other greedily.  The kept set is exactly that of one-box-at-a-time greedy
+NMS, and no temporary is larger than block x block.
 """
 from __future__ import annotations
 
@@ -11,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorGrid
-from .geometry import BBox, clip_array, decode_array, iou_pairs
+from .geometry import BBOX_XFORM_CLIP, BBox, clip_array, decode_array, iou_matrix
+
+NMS_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -64,23 +71,32 @@ def _greedy_keep(
 ) -> list[int]:
     """Greedy keep-set over boxes already sorted by priority.
 
-    Returns positions into ``sorted_boxes``.  Early exit at ``max_keep`` is
-    safe because the greedy kept-set is prefix-stable.
+    Returns positions into ``sorted_boxes``.  Each block of ``NMS_BLOCK``
+    boxes first loses every box that an already kept box suppresses; a
+    greedy pass over the IOU matrix of the survivors decides the rest.  A
+    box is only ever suppressed by a kept box, and those are all in earlier
+    blocks or among the survivors, so the keep set equals that of the
+    one-box-at-a-time pass; ``iou_matrix`` computes the same float
+    expression per pair as ``iou`` and ``iou_pairs``, so it is bit-identical.
+    Early exit at ``max_keep`` is safe because the greedy kept-set is
+    prefix-stable.
     """
     n = sorted_boxes.shape[0]
-    alive = np.ones(n, dtype=bool)
     kept: list[int] = []
-    for i in range(n):
-        if not alive[i]:
-            continue
-        kept.append(i)
-        if max_keep is not None and len(kept) >= max_keep:
-            break
-        rest = np.nonzero(alive[i + 1 :])[0] + i + 1
-        if rest.size:
-            ious = iou_pairs(np.repeat(sorted_boxes[i : i + 1], rest.size, axis=0),
-                             sorted_boxes[rest])
-            alive[rest[ious > iou_threshold]] = False
+    for start in range(0, n, NMS_BLOCK):
+        cand = np.arange(start, min(start + NMS_BLOCK, n))
+        for k0 in range(0, len(kept), NMS_BLOCK):
+            ious = iou_matrix(sorted_boxes[kept[k0 : k0 + NMS_BLOCK]], sorted_boxes[cand])
+            cand = cand[~(ious > iou_threshold).any(axis=0)]
+        over = iou_matrix(sorted_boxes[cand], sorted_boxes[cand]) > iou_threshold
+        alive = np.ones(cand.size, dtype=bool)
+        for j in range(cand.size):
+            if not alive[j]:
+                continue
+            kept.append(int(cand[j]))
+            if max_keep is not None and len(kept) >= max_keep:
+                return kept
+            alive[j + 1 :] &= ~over[j, j + 1 :]
     return kept
 
 
@@ -105,8 +121,12 @@ def propose(
             f"scores/deltas must match anchor count {n}: "
             f"got {scores.shape} and {deltas.shape}"
         )
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("non-finite objectness score")
 
-    boxes = clip_array(decode_array(grid.anchors, deltas), image_w, image_h)
+    # Clamp tw/th so that a huge predicted scale cannot overflow exp.
+    clamped = np.minimum(deltas, [np.inf, np.inf, BBOX_XFORM_CLIP, BBOX_XFORM_CLIP])
+    boxes = clip_array(decode_array(grid.anchors, clamped), image_w, image_h)
     widths = boxes[:, 2] - boxes[:, 0]
     heights = boxes[:, 3] - boxes[:, 1]
     keep = (widths >= config.min_box_size) & (heights >= config.min_box_size)
@@ -114,8 +134,13 @@ def propose(
     if idx.size == 0:
         return []
 
-    order = np.lexsort((idx, -scores[idx]))
-    idx = idx[order][: config.pre_nms_top]
+    # Rank by score, ties by anchor index.  Only the best pre_nms_top need a
+    # full sort: partition first, keeping every box tied with the last one.
+    top, neg = config.pre_nms_top, -scores[idx]
+    if idx.size > top:
+        near = np.nonzero(neg <= np.partition(neg, top - 1)[top - 1])[0]
+        idx, neg = idx[near], neg[near]
+    idx = idx[np.argsort(neg, kind="stable")][:top]
 
     kept = _greedy_keep(boxes[idx], config.nms_iou_threshold, max_keep=config.post_nms_top)
     out = []

@@ -166,6 +166,17 @@ class TestBench:
         assert run("bench", "--rois", "100", "--repeat", "1") == 0
         assert "n/a" in capsys.readouterr().out
 
+    def test_non_positive_repeat_is_config_error(self, capsys):
+        assert run("bench", "--rois", "10", "--repeat", "0") == 2
+        err = capsys.readouterr().err
+        assert "--repeat" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("rois", ["300,x", "2.5", "0", "-50", "", "7000"])
+    def test_bad_rois_is_config_error(self, rois, capsys):
+        assert run("bench", "--rois", rois, "--repeat", "1") == 2
+        err = capsys.readouterr().err
+        assert "--rois" in err and len(err.strip().splitlines()) == 1
+
 
 class TestRender:
     def _one_scene(self, scene_dir):

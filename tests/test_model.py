@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from raildet.geometry import BBox
+from raildet.synth import synthesize_scene
 from raildet.model import (
     CHAN_LUM,
     CHAN_OCC,
+    CHAN_XMOM,
+    CHAN_YMOM,
+    INTENSITY_THRESHOLDS,
     NUM_CHANNELS,
     NUM_CLASSES,
     AttachStage,
@@ -32,7 +36,40 @@ class TestBackboneSpec:
         assert BackboneSpec(attach_stage=AttachStage.STAGE5, stage5_downsample=False).stride == 16
 
 
+def reference_features(image, spec):
+    """The filter bank as float cell means over float64 planes."""
+    image = np.asarray(image, dtype=np.float64)
+    s = spec.stride
+    h, w = 1000 // s, 800 // s
+    cropped = image[: h * s, : w * s]
+
+    def cell_mean(plane):
+        return plane.reshape(h, s, w, s).mean(axis=(1, 3))
+
+    chans = np.empty((NUM_CHANNELS, h, w))
+    chans[CHAN_LUM] = cell_mean(cropped) / 255.0
+    for c, t in zip(CHAN_OCC, INTENSITY_THRESHOLDS):
+        chans[c] = cell_mean((cropped > t).astype(np.float64))
+    occ0 = (cropped > INTENSITY_THRESHOLDS[0]).astype(np.float64)
+    wx = ((np.arange(w * s) % s) + 0.5 - 0.5 * s) / s
+    wy = ((np.arange(h * s) % s) + 0.5 - 0.5 * s) / s
+    chans[CHAN_XMOM] = cell_mean(occ0 * wx[None, :])
+    chans[CHAN_YMOM] = cell_mean(occ0 * wy[:, None])
+    return chans
+
+
 class TestExtractFeatures:
+    @pytest.mark.parametrize("stage5_downsample", [False, True])
+    def test_bit_identical_to_float_reference(self, stage5_downsample):
+        spec = BackboneSpec(stage5_downsample=stage5_downsample)
+        rng = np.random.default_rng(21)
+        images = [synthesize_scene(seed)[0] for seed in (0, 7)]
+        images.append(rng.uniform(0, 255, (1000, 800)))
+        images.append(rng.integers(0, 256, (1000, 800)).astype(np.uint8))
+        for image in images:
+            assert np.array_equal(extract_features(image, spec).data,
+                                  reference_features(image, spec))
+
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="800x1000"):
             extract_features(np.zeros((500, 400)))

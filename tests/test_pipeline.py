@@ -3,11 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+from raildet import pipeline
 from raildet.config import ConfigError, dump_config, parse_config, with_post_nms_top
-from raildet.evaluation import EvalConfig, evaluate
-from raildet.model import random_weights
+from raildet.evaluation import CLASS_NAMES, EvalConfig, evaluate
+from raildet.geometry import BoxDelta, boxes_to_array, encode, iou_matrix
+from raildet.model import detect_forward, random_weights, roi_pool
+from raildet.ohem import ohem_round
 from raildet.oracle import build_oracle_weights, oracle_pipeline_config
-from raildet.pipeline import PipelineConfig, detect, ohem_simulation, propose_rois
+from raildet.pipeline import (
+    PipelineConfig,
+    PipelineError,
+    detect,
+    ohem_simulation,
+    propose_rois,
+)
 from raildet.synth import synthesize_scene
 
 
@@ -48,6 +57,34 @@ class TestDetect:
         assert rep.mean_precision == 1.0
         assert rep.mean_recall == 1.0
 
+    def test_huge_predicted_scale_is_clamped(self, oracle):
+        config, weights = oracle
+        reg_b = weights.det.reg_b.copy()
+        reg_b[2::4] = 800.0  # tw of every class
+        reg_b[3::4] = 800.0  # th
+        huge = dataclasses.replace(weights, det=dataclasses.replace(weights.det, reg_b=reg_b))
+        image, _ = synthesize_scene(0)
+        dets = detect(image, huge, config)
+        assert dets
+        for d in dets:
+            assert 0 <= d.box.x_min < d.box.x_max <= image.shape[1]
+            assert 0 <= d.box.y_min < d.box.y_max <= image.shape[0]
+
+    @pytest.mark.parametrize("stage", ["backbone", "rpn", "proposal", "roi_pool", "rcnn"])
+    def test_failure_is_tagged_with_its_stage(self, oracle, monkeypatch, stage):
+        config, weights = oracle
+        layer = {"backbone": "extract_features", "rpn": "rpn_forward",
+                 "proposal": "propose", "roi_pool": "roi_pool", "rcnn": "detect_forward"}
+
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(pipeline, layer[stage], broken)
+        with pytest.raises(PipelineError) as info:
+            detect(synthesize_scene(0)[0], weights, config)
+        assert info.value.stage == stage
+        assert isinstance(info.value.cause, ValueError)
+
     def test_stride_mismatch_rejected(self):
         base = oracle_pipeline_config()
         with pytest.raises(ValueError):
@@ -75,7 +112,51 @@ class TestProposeRois:
         assert len(rois) <= 10
 
 
+def _ohem_reference(image, ann, weights, config):
+    """One mining round from the public stages, the backbone run twice."""
+    rois = propose_rois(image, weights, config)
+    fm = pipeline.extract_features(image, config.backbone)
+    gts = [o.box for o in ann.objects]
+    ious = iou_matrix(boxes_to_array([r.box for r in rois]), boxes_to_array(gts))
+    targets = []
+    for i, roi in enumerate(rois):
+        g = int(np.argmax(ious[i])) if gts else 0
+        if gts and ious[i, g] > config.roi_fg_iou:
+            cls = 1 + CLASS_NAMES.index(ann.objects[g].class_name)
+            targets.append((cls, encode(roi.box, gts[g])))
+        else:
+            targets.append((0, None))
+
+    def forward(roi):
+        probs, deltas = detect_forward(roi_pool(fm, roi.box, config.roi_bins), weights.det)
+        return probs, BoxDelta(*deltas[int(np.argmax(probs[1:]))])
+
+    selected, losses = ohem_round(rois, forward, targets, config.ohem)
+    return selected, losses, [t[0] for t in targets]
+
+
 class TestOhemSimulation:
+    def test_one_backbone_pass_per_image(self, oracle, monkeypatch):
+        config, weights = oracle
+        dataset = [synthesize_scene(s) for s in range(3)]
+        expected = [_ohem_reference(image, ann, weights, config) for image, ann in dataset]
+        assert any(cls for _, _, classes in expected for cls in classes)
+
+        calls = []
+        original = pipeline.extract_features
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extract_features", counting)
+        result = ohem_simulation(dataset, weights, config)
+        assert len(calls) == len(dataset)
+        for img, (selected, losses, classes) in zip(result.per_image, expected):
+            assert img.selected == selected
+            assert img.losses == losses
+            assert img.roi_classes == classes
+
     def test_selected_within_budget(self, oracle):
         config, weights = oracle
         dataset = [synthesize_scene(s) for s in range(3)]

@@ -3,7 +3,7 @@ import pytest
 
 from raildet.anchors import AnchorConfig, tile
 from raildet.geometry import BBox, iou
-from raildet.proposal import ProposalConfig, ScoredBox, nms, propose
+from raildet.proposal import ProposalConfig, ScoredBox, _greedy_keep, nms, propose
 
 
 def brute_force_nms(boxes, iou_threshold):
@@ -127,6 +127,18 @@ class TestPropose:
         small = propose(grid, scores, deltas, 160, 160, ProposalConfig(post_nms_top=50))
         assert [r.source_index for r in small] == [r.source_index for r in full][: len(small)]
 
+    def test_pre_nms_top_keeps_rank_order_through_ties(self):
+        grid = self._grid()
+        rng = np.random.default_rng(12)
+        scores = rng.choice([0.2, 0.5, 0.8], len(grid))  # ties straddle the cut
+        deltas = np.zeros((len(grid), 4))
+        for top in (1, 50, 299, 300, 301):
+            cfg = ProposalConfig(pre_nms_top=top, post_nms_top=top, nms_iou_threshold=0.99)
+            out = propose(grid, scores, deltas, 160, 160, cfg)
+            # no two anchors coincide, so nothing is suppressed at IOU 0.99
+            expected = np.lexsort((np.arange(len(grid)), -scores))[:top]
+            assert [r.source_index for r in out] == expected.tolist()
+
     def test_min_size_filter(self):
         grid = self._grid()
         n = len(grid)
@@ -149,3 +161,75 @@ class TestPropose:
         grid = self._grid()
         with pytest.raises(ValueError):
             propose(grid, np.zeros(3), np.zeros((3, 4)), 160, 160)
+
+    @pytest.mark.parametrize("bad", [[7], slice(None)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad, value):
+        grid = self._grid()
+        scores = np.full(len(grid), 0.5)
+        scores[bad] = value
+        deltas = np.zeros((len(grid), 4))
+        # pre_nms_top below the anchor count takes the partition path, where
+        # NaN would otherwise drop out of the ranking without an error
+        cfg = ProposalConfig(pre_nms_top=100, post_nms_top=50)
+        with pytest.raises(ValueError, match="non-finite"):
+            propose(grid, scores, deltas, 160, 160, cfg)
+
+    def test_huge_predicted_scale_is_clamped(self):
+        grid = self._grid()
+        i = 55 * 9 + 1  # the 16x16 anchor at cell (5, 5), center (88, 88)
+        scores = np.zeros(len(grid))
+        scores[i] = 1.0
+        deltas = np.zeros((len(grid), 4))
+        deltas[i] = (0.0, 0.0, 800.0, 800.0)
+        top = propose(grid, scores, deltas, 2000, 2000)[0]
+        assert top.source_index == i
+        # tw = th = log(1000/16): the anchor grows to 1000x1000 around its
+        # center, then the canvas clips the negative corner
+        assert top.box.x_min == 0.0 and top.box.y_min == 0.0
+        assert top.box.x_max == pytest.approx(588.0)
+        assert top.box.y_max == pytest.approx(588.0)
+
+
+def _block_edge_boxes(n, seed):
+    """Crowded boxes with tied scores and exact duplicates spread over the
+    whole order, so suppression crosses every block edge."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0, 400, (n, 2))
+    wh = rng.uniform(10, 80, (n, 2))
+    arr = np.concatenate([xy, xy + wh], axis=1)
+    scores = rng.choice(np.linspace(0.1, 0.9, 9), n)
+    dup = rng.choice(n, n // 8, replace=False)
+    src = rng.integers(0, n, dup.size)
+    arr[dup] = arr[src]
+    scores[dup[::2]] = scores[src[::2]]  # half of the duplicates also tie on score
+    return [sb(*arr[i], float(scores[i]), i) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1000])
+def test_nms_matches_brute_force_across_blocks(n):
+    boxes = _block_edge_boxes(n, n)
+    for thr in (0.3, 0.7):
+        assert nms(boxes, thr) == brute_force_nms(boxes, thr)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1000])
+def test_greedy_keep_matches_brute_force_with_early_exit(n):
+    boxes = _block_edge_boxes(n, n + 1)
+    # equal scores leave the oracle ordering by source index, i.e. by position
+    tied = [ScoredBox(box=b.box, score=0.5, source_index=b.source_index) for b in boxes]
+    arr = np.array([b.box.as_tuple() for b in boxes])
+    full = brute_force_nms(tied, 0.5)
+    assert _greedy_keep(arr, 0.5) == full
+    for k in (1, 2, len(full) // 2, len(full) - 1, len(full), len(full) + 1):
+        if k >= 1:
+            assert _greedy_keep(arr, 0.5, max_keep=k) == full[:k]
+
+
+def test_exact_duplicates_across_block_edge():
+    # the same box at positions 0, 255, 256 and 511: only the first survives
+    arr = np.array([[1000.0 + 3 * i, 0.0, 1002.0 + 3 * i, 2.0] for i in range(600)])
+    for pos in (255, 256, 511):
+        arr[pos] = arr[0]
+    kept = _greedy_keep(arr, 0.5)
+    assert kept == [i for i in range(600) if i not in (255, 256, 511)]
