@@ -28,7 +28,7 @@ from .dataio import (
 from .evaluation import CLASS_NAMES, EvalConfig, evaluate
 from .model import load_weights, random_weights, save_weights
 from .oracle import build_oracle_weights, oracle_pipeline_config
-from .pipeline import PipelineConfig, detect, propose_rois
+from .pipeline import PipelineConfig, PipelineError, detect, propose_rois
 from .ppm import read_ppm, write_ppm
 from .preprocess import preprocess
 from .synth import synthesize_scene
@@ -125,7 +125,7 @@ def cmd_preprocess(args) -> int:
             ann = parse_voc(xml_path.read_bytes(), lenient=args.lenient)
         except VocError as e:
             raise InputError(f"{xml_path.name}: {e}")
-        image = read_ppm(img_path, grayscale=True)
+        image = _read_gray(img_path)
         out_img, out_ann = preprocess(image, ann)
         write_ppm(out_dir / img_path.name, out_img)
         (out_dir / xml_path.name).write_bytes(write_voc(out_ann))
@@ -169,9 +169,12 @@ def cmd_propose(args) -> int:
     config = _load_pipeline_config(args)
     weights = _load_model(args, config)
     image = _read_gray(args.image)
-    rois = propose_rois(image, weights, config)
-    lines = ["image,class,score,xmin,ymin,xmax,ymax"]
     name = Path(args.image).name
+    try:
+        rois = propose_rois(image, weights, config)
+    except PipelineError as e:
+        raise InputError(f"{name}: {e}") from None
+    lines = ["image,class,score,xmin,ymin,xmax,ymax"]
     for r in rois:
         b = r.box
         lines.append(
@@ -189,9 +192,12 @@ def cmd_detect(args) -> int:
     rows = []
     for p in paths:
         image = _read_gray(p)
-        for d in detect(image, weights, config):
-            rows.append((p.name, d))
-        _log(f"detect {p.name}: {sum(1 for n, _ in rows if n == p.name)} detections")
+        try:
+            dets = detect(image, weights, config)
+        except PipelineError as e:
+            raise InputError(f"{p.name}: {e}") from None
+        rows.extend((p.name, d) for d in dets)
+        _log(f"detect {p.name}: {len(dets)} detections")
     write_detections_csv(args.out, rows)
     out_dir = Path(args.out).parent
     if out_dir.is_dir():
@@ -200,6 +206,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    try:
+        eval_config = EvalConfig(iou_threshold=args.iou)
+    except ValueError as e:
+        raise ConfigError(f"--iou {args.iou}: {e}") from None
     gt_dir = Path(args.gt)
     if not gt_dir.is_dir():
         raise InputError(f"ground-truth directory not found: {gt_dir}")
@@ -225,7 +235,7 @@ def cmd_eval(args) -> int:
         if dets:
             raise InputError(f"detections reference unknown image: {image}")
 
-    rep = evaluate(per_image, EvalConfig(iou_threshold=args.iou))
+    rep = evaluate(per_image, eval_config)
     print(rep.to_text())
     if args.csv:
         Path(args.csv).write_text(rep.to_csv())
@@ -296,7 +306,10 @@ def cmd_render(args) -> int:
     img_path = Path(args.image)
     if not img_path.exists():
         raise InputError(f"image not found: {img_path}")
-    image = read_ppm(img_path)
+    try:
+        image = read_ppm(img_path)
+    except ValueError as e:
+        raise InputError(str(e)) from None
     h, w = image.shape[:2]
     rows = [d for name, d in read_detections_csv(args.dets) if name == img_path.name]
     for det in rows:
@@ -356,7 +369,10 @@ def _read_gray(path) -> np.ndarray:
     p = Path(path)
     if not p.exists():
         raise InputError(f"image not found: {p}")
-    return read_ppm(p, grayscale=True)
+    try:
+        return read_ppm(p, grayscale=True)
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 def _image_paths(args) -> list[Path]:

@@ -25,8 +25,10 @@ IMAGE_WIDTH = 800
 IMAGE_HEIGHT = 1000
 
 # Fixed filter bank: one luminance channel, four threshold-occupancy
-# channels, and two occupancy-weighted within-cell position moments.
-INTENSITY_THRESHOLDS = (100.0, 160.0, 190.0, 220.0)
+# channels, and two occupancy-weighted within-cell position moments.  The
+# thresholds are whole numbers, so a uint8 plane compares against them
+# without widening.
+INTENSITY_THRESHOLDS = (100, 160, 190, 220)
 CHAN_LUM = 0
 CHAN_OCC = (1, 2, 3, 4)  # occupancy above each threshold, in order
 CHAN_XMOM = 5
@@ -90,9 +92,13 @@ def extract_features(image: np.ndarray, spec: BackboneSpec = BackboneSpec()) -> 
     """Run the fixed filter bank and average-pool to the stage stride.
 
     ``image`` is a (1000, 800) grayscale array; anything else is rejected
-    because the pipeline assumes preprocessed input.
+    because the pipeline assumes preprocessed input.  A uint8 image stays
+    uint8 (its cell sums are exact integers); any other dtype is converted
+    to float64.  Both give the same bits for the same pixel values.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(image)
+    if image.dtype != np.uint8:
+        image = image.astype(np.float64, copy=False)
     if image.shape != (IMAGE_HEIGHT, IMAGE_WIDTH):
         raise ValueError(
             f"backbone expects preprocessed 800x1000 input, got {image.shape[::-1]}"
@@ -101,17 +107,24 @@ def extract_features(image: np.ndarray, spec: BackboneSpec = BackboneSpec()) -> 
     h_cells = IMAGE_HEIGHT // s
     w_cells = IMAGE_WIDTH // s
     cropped = image[: h_cells * s, : w_cells * s]
+    cells = cropped.reshape(h_cells, s, w_cells, s)
     cell_area = s * s
 
     chans = np.empty((NUM_CHANNELS, h_cells, w_cells), dtype=np.float64)
-    chans[CHAN_LUM] = cropped.reshape(h_cells, s, w_cells, s).mean(axis=(1, 3)) / 255.0
+    if image.dtype == np.uint8:
+        # exact integer cell sums (at most 32 * 32 * 255), so the float
+        # division below gives the bits of the float64 mean
+        lum = cells.sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
+    else:
+        lum = cells.sum(axis=(1, 3))
+    chans[CHAN_LUM] = lum / cell_area / 255.0
     # Occupancy channels are cell means of 0/1 planes and the moments cell
     # means of 0/1 times multiples of 1/(2s).  Every partial sum is exact in
     # float64, so integer counts divided by the cell area give the same bits
     # as the float means, at a fraction of the memory traffic.
     pos = (np.arange(s) + 0.5 - 0.5 * s) / s  # within-cell position, in strides
     for c, t in zip(CHAN_OCC, INTENSITY_THRESHOLDS):
-        occ = (cropped > t).view(np.uint8).reshape(h_cells, s, w_cells, s)
+        occ = (cells > t).view(np.uint8)
         per_col = occ.sum(axis=1, dtype=np.uint16)  # (h_cells, w_cells, s)
         chans[c] = per_col.sum(axis=2) / cell_area
         if c == CHAN_OCC[0]:
@@ -177,7 +190,8 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         for dj in range(3):
             windows[di, dj] = padded[:, di : di + h, dj : dj + width]
     out = np.einsum("dcij,ijchw->dhw", w, windows, optimize=True)
-    return out + b[:, None, None]
+    out += b[:, None, None]
+    return out
 
 
 def rpn_forward(
@@ -193,7 +207,9 @@ def rpn_forward(
         raise ValueError(f"head built for k={head.k}, requested k={k}")
     if fm.channels != head.conv_w.shape[1]:
         raise ValueError("feature channels do not match the head")
-    inter = np.maximum(conv2d_3x3(fm.data, head.conv_w, head.conv_b), 0.0)
+    # in place: each (D, H, W) temporary is a fresh multi-megabyte mapping
+    inter = conv2d_3x3(fm.data, head.conv_w, head.conv_b)
+    np.maximum(inter, 0.0, out=inter)
     h, w = fm.height, fm.width
     flat = inter.reshape(head.intermediate_dim, -1)
 

@@ -123,16 +123,16 @@ def detect(
             pooled = roi_pool(fm, roi.box, config.roi_bins)
         with _stage("rcnn"):
             probs, cls_deltas = detect_forward(pooled, weights.det)
-        for ci, cls in enumerate(CLASS_NAMES):
-            p = float(probs[1 + ci])
-            if p <= config.score_threshold:
-                continue
-            tx, ty, tw, th = cls_deltas[ci]
-            delta = BoxDelta(tx, ty, min(tw, BBOX_XFORM_CLIP), min(th, BBOX_XFORM_CLIP))
-            box = clip(decode(roi.box, delta), img_w, img_h)
-            if box.width <= 0 or box.height <= 0:
-                continue
-            candidates.append(Detection(class_name=cls, box=box, score=p))
+            for ci, cls in enumerate(CLASS_NAMES):
+                p = float(probs[1 + ci])
+                if p <= config.score_threshold:
+                    continue
+                tx, ty, tw, th = cls_deltas[ci]
+                delta = BoxDelta(tx, ty, min(tw, BBOX_XFORM_CLIP), min(th, BBOX_XFORM_CLIP))
+                box = clip(decode(roi.box, delta), img_w, img_h)
+                if box.width <= 0 or box.height <= 0:
+                    continue
+                candidates.append(Detection(class_name=cls, box=box, score=p))
 
     final: list[Detection] = []
     for cls in CLASS_NAMES:

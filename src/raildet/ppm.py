@@ -25,13 +25,23 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def read_ppm(path, grayscale: bool = False) -> np.ndarray:
-    """Read a binary PPM.  Returns (H, W, 3) uint8, or (H, W) with
-    ``grayscale=True`` (channel mean, rounded)."""
+    """Read a binary PPM.  Returns (H, W, 3) uint8, or (H, W) uint8 with
+    ``grayscale=True``.
+
+    The grayscale value is the channel mean rounded to the nearest integer,
+    computed as ``(r + g + b + 1) // 3`` in uint16.  The mean has fractional
+    part 0, 1/3 or 2/3, so it never ties and this equals ``np.round`` of the
+    float mean for every sum from 0 to 765.
+
+    Raises ``ValueError`` naming ``path`` unless the file has the ``P6``
+    magic, positive integer width and height, maxval 255 and at least
+    width * height * 3 bytes of pixels.
+    """
     with open(path, "rb") as f:
         data = f.read()
     fields: list[bytes] = []
     pos = 0
-    while len(fields) < 4:
+    while len(fields) < 4 and pos < len(data):
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if pos < len(data) and data[pos : pos + 1] == b"#":
@@ -41,15 +51,28 @@ def read_ppm(path, grayscale: bool = False) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P6":
-        raise ValueError(f"not a binary PPM file: {path}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+        if pos > start:
+            fields.append(data[start:pos])
+    if not fields or fields[0] != b"P6":
+        raise ValueError(f"{path}: not a binary PPM file (no P6 magic)")
+    if len(fields) < 4 or not all(f.isdigit() and int(f) > 0 for f in fields[1:]):
+        raise ValueError(f"{path}: PPM header needs positive integer width, height and maxval")
+    w, h, maxval = (int(f) for f in fields[1:])
     if maxval != 255:
-        raise ValueError("only maxval 255 is supported")
+        raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     pos += 1  # single whitespace after maxval
+    if len(data) - pos < w * h * 3:
+        raise ValueError(
+            f"{path}: truncated PPM: {w}x{h} needs {w * h * 3} pixel bytes, "
+            f"found {max(len(data) - pos, 0)}"
+        )
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
     image = pixels.reshape(h, w, 3)
     if grayscale:
-        return np.round(image.mean(axis=2)).astype(np.uint8)
+        total = image[..., 0].astype(np.uint16)
+        total += image[..., 1]
+        total += image[..., 2]
+        total += 1
+        total //= 3
+        return total.astype(np.uint8)
     return image.copy()

@@ -28,8 +28,13 @@ class PreprocessConfig:
 
 
 def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resampling with pixel centers aligned between grids."""
-    image = np.asarray(image, dtype=np.float64)
+    """Bilinear resampling with pixel centers aligned between grids.
+
+    Returns float64.  The four neighbours are gathered rows first from the
+    input as it is (a uint8 image stays uint8) and widen to float64 only in
+    the blend, which gives the same bits as blending a float64 copy.
+    """
+    image = np.asarray(image)
     in_h, in_w = image.shape[:2]
     ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0, in_h - 1)
     xs = np.clip((np.arange(out_w) + 0.5) * in_w / out_w - 0.5, 0, in_w - 1)
@@ -42,9 +47,17 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if image.ndim == 3:
         fy = fy[..., None]
         fx = fx[..., None]
-    top = image[np.ix_(y0, x0)] * (1 - fx) + image[np.ix_(y0, x1)] * fx
-    bot = image[np.ix_(y1, x0)] * (1 - fx) + image[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bot * fy
+    rows0, rows1 = image[y0], image[y1]
+    # top * (1 - fy) + bot * fy, with top and bot the column blends of the
+    # two source rows, evaluated in place to spare full-size temporaries
+    top = rows0[:, x0] * (1 - fx)
+    top += rows0[:, x1] * fx
+    bot = rows1[:, x0] * (1 - fx)
+    bot += rows1[:, x1] * fx
+    top *= 1 - fy
+    bot *= fy
+    top += bot
+    return top
 
 
 def preprocess(
@@ -97,4 +110,8 @@ def preprocess(
         image_height=th,
         objects=tuple(objects),
     )
-    return np.clip(np.round(canvas), 0, 255).astype(np.uint8), out_ann
+    # canvas is ours (scaled or a view of it, or the padded copy): round
+    # and clip it in place
+    np.round(canvas, out=canvas)
+    np.clip(canvas, 0, 255, out=canvas)
+    return canvas.astype(np.uint8), out_ann

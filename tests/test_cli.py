@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import raildet
 from raildet.cli import main
 from raildet.dataio import read_detections_csv, read_split_manifest
 from raildet.evaluation import Detection
@@ -11,6 +17,24 @@ from raildet.dataio import write_detections_csv
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter: (exit code, stderr)."""
+    src = str(Path(raildet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "raildet.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def assert_one_line_error(stderr, *needles):
+    assert "Traceback" not in stderr
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1, stderr
+    for needle in needles:
+        assert needle in lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +144,63 @@ class TestDetectEval:
     def test_detect_missing_image(self, tmp_path):
         assert run("detect", "--image", str(tmp_path / "gone.ppm"),
                    "--out", str(tmp_path / "d.csv")) == 1
+
+
+@pytest.fixture(scope="module")
+def bad_images(scene_dir, tmp_path_factory):
+    """Malformed and wrong-size images next to one good scene."""
+    out = tmp_path_factory.mktemp("bad")
+    good = (scene_dir / "scene_000100.ppm").read_bytes()
+    (out / "truncated.ppm").write_bytes(good[:1000])
+    (out / "magic_only.ppm").write_bytes(b"P6\n")
+    write_ppm(out / "small.ppm", np.zeros((80, 100), dtype=np.uint8))
+    return out
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["detect", "propose"])
+    @pytest.mark.parametrize("name", ["truncated.ppm", "magic_only.ppm"])
+    def test_malformed_ppm_exit_1(self, bad_images, tmp_path, command, name):
+        argv = [command, "--image", str(bad_images / name), "--out", str(tmp_path / "o.csv")]
+        rc, err = run_process(*argv)
+        assert rc == 1
+        assert_one_line_error(err, name)
+
+    @pytest.mark.parametrize("command", ["detect", "propose"])
+    def test_wrong_size_image_names_file_and_stage(self, bad_images, tmp_path, command):
+        rc, err = run_process(command, "--image", str(bad_images / "small.ppm"),
+                              "--out", str(tmp_path / "o.csv"))
+        assert rc == 1
+        assert_one_line_error(err, "small.ppm", "stage backbone")
+
+    def test_render_malformed_ppm_exit_1(self, bad_images, tmp_path):
+        dets = tmp_path / "none.csv"
+        write_detections_csv(dets, [])
+        rc, err = run_process("render", "--image", str(bad_images / "truncated.ppm"),
+                              "--dets", str(dets), "--out", str(tmp_path / "o.ppm"))
+        assert rc == 1
+        assert_one_line_error(err, "truncated.ppm")
+
+    def test_preprocess_keep_going_skips_malformed_ppm(self, scene_dir, bad_images, tmp_path,
+                                                       capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        for name in ("scene_000100", "truncated"):
+            (src / f"{name}.xml").write_bytes((scene_dir / "scene_000100.xml").read_bytes())
+        (src / "scene_000100.ppm").write_bytes((scene_dir / "scene_000100.ppm").read_bytes())
+        (src / "truncated.ppm").write_bytes((bad_images / "truncated.ppm").read_bytes())
+        out = tmp_path / "o"
+        assert run("preprocess", "--in", str(src), "--out", str(out), "--keep-going") == 1
+        assert (out / "scene_000100.ppm").exists()
+        assert not (out / "truncated.ppm").exists()
+        assert "truncated.ppm: FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("iou", ["1.5", "0", "-0.2"])
+    def test_eval_iou_out_of_range_is_config_error(self, scene_dir, iou):
+        rc, err = run_process("eval", "--dets", str(scene_dir / "missing.csv"),
+                              "--gt", str(scene_dir), "--iou", iou)
+        assert rc == 2
+        assert_one_line_error(err, "--iou", "config error")
 
 
 class TestPropose:

@@ -43,6 +43,40 @@ class TestPpm:
         with pytest.raises(ValueError):
             read_ppm(path)
 
+    @pytest.mark.parametrize("r", [0, 1, 2, 128, 254, 255])
+    def test_gray_decode_is_rounded_channel_mean(self, tmp_path, r):
+        # every (g, b) pair for this r: g down the rows, b across the columns
+        g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        rgb = np.stack([np.full_like(g, r), g, b], axis=2).astype(np.uint8)
+        path = tmp_path / "all.ppm"
+        write_ppm(path, rgb)
+        expected = np.round(rgb.mean(axis=2)).astype(np.uint8)
+        got = read_ppm(path, grayscale=True)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"P6\n",
+            b"P6\n2 2\n",
+            b"P6\n2 2\n255",
+            b"P6\n2 x\n255\n" + bytes(12),
+            b"P6\n-2 2\n255\n" + bytes(12),
+            b"P6\n+2 2\n255\n" + bytes(12),
+            b"P6\n0 2\n255\n",
+            b"P6\n2 2\n65535\n" + bytes(24),
+            b"P6\n2 2\n255\n" + bytes(11),
+        ],
+    )
+    def test_malformed_file_names_the_path(self, tmp_path, data):
+        path = tmp_path / "broken.ppm"
+        path.write_bytes(data)
+        for grayscale in (False, True):
+            with pytest.raises(ValueError, match="broken.ppm"):
+                read_ppm(path, grayscale=grayscale)
+
     def test_rejects_wrong_dtype(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "x.ppm", np.zeros((2, 2), dtype=np.float64))

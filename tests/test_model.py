@@ -66,9 +66,15 @@ class TestExtractFeatures:
         images = [synthesize_scene(seed)[0] for seed in (0, 7)]
         images.append(rng.uniform(0, 255, (1000, 800)))
         images.append(rng.integers(0, 256, (1000, 800)).astype(np.uint8))
+        images.append(np.full((1000, 800), 255, dtype=np.uint8))
+        # fractions at and around every threshold
+        images.append(rng.choice([99.5, 100.0, 100.25, 159.999, 160.0, 190.5, 220.0, 220.01],
+                                 size=(1000, 800)))
         for image in images:
-            assert np.array_equal(extract_features(image, spec).data,
-                                  reference_features(image, spec))
+            expected = reference_features(image, spec)
+            # a uint8 image and its float64 copy take different paths
+            for given in (image, image.astype(np.float64)):
+                assert np.array_equal(extract_features(given, spec).data, expected)
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="800x1000"):

@@ -70,6 +70,16 @@ class TestDetect:
             assert 0 <= d.box.x_min < d.box.x_max <= image.shape[1]
             assert 0 <= d.box.y_min < d.box.y_max <= image.shape[0]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_decoded_box_is_an_rcnn_failure(self, oracle):
+        config, weights = oracle
+        reg_b = weights.det.reg_b.copy()
+        reg_b[0::4] = 1e308  # tx of every class: the decoded centre overflows
+        huge = dataclasses.replace(weights, det=dataclasses.replace(weights.det, reg_b=reg_b))
+        with pytest.raises(PipelineError) as info:
+            detect(synthesize_scene(0)[0], huge, config)
+        assert info.value.stage == "rcnn"
+
     @pytest.mark.parametrize("stage", ["backbone", "rpn", "proposal", "roi_pool", "rcnn"])
     def test_failure_is_tagged_with_its_stage(self, oracle, monkeypatch, stage):
         config, weights = oracle

@@ -15,7 +15,45 @@ def gt(x0, y0, x1, y1, cls="V"):
     return GroundTruthObject(class_name=cls, box=BBox(x0, y0, x1, y1))
 
 
+def resize_reference(image, out_h, out_w):
+    """Bilinear resampling over a float64 copy with ``np.ix_`` gathers."""
+    image = np.asarray(image, dtype=np.float64)
+    in_h, in_w = image.shape[:2]
+    ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0, in_h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * in_w / out_w - 0.5, 0, in_w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    if image.ndim == 3:
+        fy = fy[..., None]
+        fx = fx[..., None]
+    top = image[np.ix_(y0, x0)] * (1 - fx) + image[np.ix_(y0, x1)] * fx
+    bot = image[np.ix_(y1, x0)] * (1 - fx) + image[np.ix_(y1, x1)] * fx
+    return top * (1 - fy) + bot * fy
+
+
 class TestResize:
+    @pytest.mark.parametrize("shape", [(37, 29), (37, 29, 3), (1, 1), (1, 1, 3),
+                                       (1, 17), (1, 17, 3)])
+    @pytest.mark.parametrize("out", [(80, 61), (13, 7), (1, 1), (1, 40)])
+    def test_bit_identical_to_float_reference(self, shape, out):
+        rng = np.random.default_rng(30)
+        image = rng.integers(0, 256, shape).astype(np.uint8)
+        expected = resize_reference(image, *out)
+        for given in (image, image.astype(np.float64)):
+            got = resize_bilinear(given, *out)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, expected)
+
+    def test_fractional_float_input_bit_identical(self):
+        rng = np.random.default_rng(31)
+        image = rng.uniform(0, 255, (23, 41, 3))
+        for out in ((50, 90), (9, 11)):
+            assert np.array_equal(resize_bilinear(image, *out), resize_reference(image, *out))
+
     def test_identity(self):
         rng = np.random.default_rng(29)
         img = rng.uniform(0, 255, (20, 30))
