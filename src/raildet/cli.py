@@ -26,7 +26,7 @@ from .dataio import (
     write_split_manifest,
 )
 from .evaluation import CLASS_NAMES, EvalConfig, evaluate
-from .model import load_weights, random_weights, save_weights
+from .model import NUM_CHANNELS, load_weights, random_weights, save_weights
 from .oracle import build_oracle_weights, oracle_pipeline_config
 from .pipeline import PipelineConfig, PipelineError, detect, propose_rois
 from .ppm import read_ppm, write_ppm
@@ -96,11 +96,24 @@ def _load_model(args, config: PipelineConfig):
     if spec in (None, "", "oracle"):
         return build_oracle_weights(config)
     if spec.startswith("random:"):
-        return random_weights(int(spec.split(":", 1)[1]), k=config.anchors.k,
-                              bins=config.roi_bins)
+        try:
+            seed = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"--weights {spec!r}: the seed must be an integer") from None
+        return random_weights(seed, k=config.anchors.k, bins=config.roi_bins)
     if not Path(spec).exists():
         raise InputError(f"weights file not found: {spec}")
-    return load_weights(spec)
+    try:
+        weights = load_weights(spec)
+    except ValueError as e:
+        raise InputError(str(e)) from None
+    width = config.roi_bins ** 2 * NUM_CHANNELS
+    if weights.det.cls_w.shape[1] != width:
+        raise ConfigError(
+            f"pipeline.roi_bins={config.roi_bins} pools {width} features, but the "
+            f"detection head in {spec} takes {weights.det.cls_w.shape[1]}"
+        )
+    return weights
 
 
 # ---------------------------------------------------------------------------

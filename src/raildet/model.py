@@ -229,8 +229,10 @@ def roi_pool(fm: FeatureMap, roi: BBox, bins: int = 7) -> np.ndarray:
     """Max-pool a ROI into a (bins, bins, C) grid.
 
     The ROI is given in image coordinates and projected onto the feature
-    map by dividing by the stride.  A bin that covers no whole cell falls
-    back to the single nearest cell.
+    map by dividing by the stride.  Bin ``p`` spans cells
+    ``floor(o + p*b)`` to ``ceil(o + (p+1)*b)``, clamped to the map; a bin
+    that covers no whole cell falls back to the single nearest cell, the
+    one holding ``o + (p+0.5)*b``.
     """
     s = float(fm.stride)
     x0, y0 = roi.x_min / s, roi.y_min / s
@@ -240,29 +242,33 @@ def roi_pool(fm: FeatureMap, roi: BBox, bins: int = 7) -> np.ndarray:
     if x1 <= x0 or y1 <= y0:
         raise ValueError("roi must have positive area in feature coordinates")
 
-    out = np.empty((bins, bins, fm.channels), dtype=np.float64)
-    bw = (x1 - x0) / bins
-    bh = (y1 - y0) / bins
-    for p in range(bins):
-        r0 = int(np.floor(y0 + p * bh))
-        r1 = int(np.ceil(y0 + (p + 1) * bh))
-        rows = _clamp_range(r0, r1, fm.height, y0 + (p + 0.5) * bh)
-        for q in range(bins):
-            c0 = int(np.floor(x0 + q * bw))
-            c1 = int(np.ceil(x0 + (q + 1) * bw))
-            cols = _clamp_range(c0, c1, fm.width, x0 + (q + 0.5) * bw)
-            out[p, q] = fm.data[:, rows[0] : rows[1], cols[0] : cols[1]].max(axis=(1, 2))
-    return out
+    # bin bounds, rows in the first line and columns in the second
+    origin = np.array([[y0], [x0]])
+    step = np.array([[(y1 - y0) / bins], [(x1 - x0) / bins]])
+    size = np.array([[fm.height], [fm.width]])
+    p = np.arange(bins)
+    lo = np.maximum(np.floor(origin + p * step), 0)
+    hi = np.minimum(np.ceil(origin + (p + 1) * step), size)
+    nearest = np.clip(np.floor(origin + (p + 0.5) * step), 0, size - 1)
+    empty = hi <= lo
+    lo = np.where(empty, nearest, lo).astype(np.intp)
+    hi = np.where(empty, nearest + 1, hi).astype(np.intp)
 
-
-def _clamp_range(lo: int, hi: int, size: int, center: float) -> tuple[int, int]:
-    lo = max(lo, 0)
-    hi = min(hi, size)
-    if hi <= lo:
-        # empty bin: take the single nearest cell
-        nearest = int(np.clip(np.floor(center), 0, size - 1))
-        return nearest, nearest + 1
-    return lo, hi
+    # reduceat maxes each run between consecutive indices, so interleaved
+    # (lo, hi) pairs give the bin maxima at the even positions (bins may
+    # overlap).  An index must lie inside the array: a bin that ends at the
+    # map border needs one spare row or column past it.
+    top, left = lo.min(axis=1)
+    bottom, right = hi.max(axis=1)
+    edges = np.stack((lo, hi), axis=2).reshape(2, -1)
+    block = fm.data[:, top : bottom + 1, left : right + 1]
+    if bottom == fm.height:
+        block = np.concatenate((block, block[:, -1:]), axis=1)
+    out = np.maximum.reduceat(block, edges[0] - top, axis=1)[:, ::2]
+    if right == fm.width:
+        out = np.concatenate((out, out[:, :, -1:]), axis=2)
+    out = np.maximum.reduceat(out, edges[1] - left, axis=2)[:, :, ::2]
+    return out.transpose(1, 2, 0).copy()
 
 
 @dataclass(frozen=True)
@@ -362,6 +368,21 @@ def apply_batchnorm(x: np.ndarray, bn: BnParams) -> np.ndarray:
 # Weight files: flat little-endian float32 binary + text sidecar with shapes
 # ---------------------------------------------------------------------------
 
+# weight-file tensor name -> (head, field, number of dimensions), in file order
+WEIGHT_TENSORS = {
+    "rpn.conv.weight": ("rpn", "conv_w", 4),
+    "rpn.conv.bias": ("rpn", "conv_b", 1),
+    "rpn.score.weight": ("rpn", "score_w", 2),
+    "rpn.score.bias": ("rpn", "score_b", 1),
+    "rpn.delta.weight": ("rpn", "delta_w", 2),
+    "rpn.delta.bias": ("rpn", "delta_b", 1),
+    "det.cls.weight": ("det", "cls_w", 2),
+    "det.cls.bias": ("det", "cls_b", 1),
+    "det.reg.weight": ("det", "reg_w", 2),
+    "det.reg.bias": ("det", "reg_b", 1),
+}
+
+
 @dataclass(frozen=True)
 class ModelWeights:
     rpn: RpnHead
@@ -369,16 +390,8 @@ class ModelWeights:
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {
-            "rpn.conv.weight": self.rpn.conv_w,
-            "rpn.conv.bias": self.rpn.conv_b,
-            "rpn.score.weight": self.rpn.score_w,
-            "rpn.score.bias": self.rpn.score_b,
-            "rpn.delta.weight": self.rpn.delta_w,
-            "rpn.delta.bias": self.rpn.delta_b,
-            "det.cls.weight": self.det.cls_w,
-            "det.cls.bias": self.det.cls_b,
-            "det.reg.weight": self.det.reg_w,
-            "det.reg.bias": self.det.reg_b,
+            name: getattr(getattr(self, head), attr)
+            for name, (head, attr, _) in WEIGHT_TENSORS.items()
         }
 
 
@@ -396,39 +409,56 @@ def save_weights(weights: ModelWeights, path) -> None:
 
 
 def load_weights(path) -> ModelWeights:
+    """Read a weight file written by :func:`save_weights`.
+
+    A sidecar that is not one line per known tensor with a positive shape
+    of the right rank, a binary whose length differs from the sidecar's
+    total, or tensors the heads reject raise a ``ValueError`` naming the
+    file and, where there is one, the tensor.
+    """
     path = Path(path)
     meta = path.with_suffix(path.suffix + ".meta")
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for line in meta.read_text().splitlines():
+    try:
+        lines = meta.read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{meta}: not a text sidecar: {e}") from None
+    shapes: dict[str, tuple[int, ...]] = {}
+    for line in lines:
         if not line.strip():
             continue
-        parts = line.split()
-        shapes.append((parts[0], tuple(int(d) for d in parts[1:])))
-    raw = np.fromfile(path, dtype="<f4")
-    tensors: dict[str, np.ndarray] = {}
+        name, *dims = line.split()
+        if name not in WEIGHT_TENSORS:
+            raise ValueError(f"{meta}: unknown tensor {name}")
+        if name in shapes:
+            raise ValueError(f"{meta}: tensor {name} listed twice")
+        try:
+            shape = tuple(int(d) for d in dims)
+        except ValueError:
+            shape = ()
+        if len(shape) != WEIGHT_TENSORS[name][2] or min(shape) < 1:
+            raise ValueError(f"{meta}: tensor {name}: bad shape {' '.join(dims)!r}")
+        shapes[name] = shape
+    for name in WEIGHT_TENSORS:
+        if name not in shapes:
+            raise ValueError(f"{meta}: tensor {name} missing")
+
+    data = path.read_bytes()
+    raw = np.frombuffer(data, dtype="<f4", count=len(data) // 4)
+    fields: dict[str, dict[str, np.ndarray]] = {"rpn": {}, "det": {}}
     offset = 0
-    for name, shape in shapes:
-        n = int(np.prod(shape)) if shape else 1
-        tensors[name] = raw[offset : offset + n].astype(np.float64).reshape(shape)
+    for name, shape in shapes.items():
+        n = int(np.prod(shape))
+        if offset + n > raw.size:
+            raise ValueError(f"{path}: tensor {name} runs past the end ({raw.size} floats)")
+        head, attr, _ = WEIGHT_TENSORS[name]
+        fields[head][attr] = raw[offset : offset + n].astype(np.float64).reshape(shape)
         offset += n
-    if offset != raw.size:
-        raise ValueError(f"weight file length mismatch: {raw.size} floats, expected {offset}")
-    return ModelWeights(
-        rpn=RpnHead(
-            conv_w=tensors["rpn.conv.weight"],
-            conv_b=tensors["rpn.conv.bias"],
-            score_w=tensors["rpn.score.weight"],
-            score_b=tensors["rpn.score.bias"],
-            delta_w=tensors["rpn.delta.weight"],
-            delta_b=tensors["rpn.delta.bias"],
-        ),
-        det=DetectHead(
-            cls_w=tensors["det.cls.weight"],
-            cls_b=tensors["det.cls.bias"],
-            reg_w=tensors["det.reg.weight"],
-            reg_b=tensors["det.reg.bias"],
-        ),
-    )
+    if 4 * offset != len(data):
+        raise ValueError(f"{path}: {len(data) - 4 * offset} bytes after the last tensor {name}")
+    try:
+        return ModelWeights(rpn=RpnHead(**fields["rpn"]), det=DetectHead(**fields["det"]))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def random_weights(

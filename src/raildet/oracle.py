@@ -67,10 +67,13 @@ def oracle_pipeline_config() -> PipelineConfig:
 
 
 def build_oracle_weights(
-    config: PipelineConfig | None = None, bins: int = 7, intermediate_dim: int = 256
+    config: PipelineConfig | None = None, intermediate_dim: int = 256
 ) -> ModelWeights:
+    """Oracle RPN and detection heads for ``config``'s anchors, stride and
+    ``roi_bins``."""
     if config is None:
         config = oracle_pipeline_config()
+    bins = config.roi_bins
     k = config.anchors.k
     cell = config.anchors.stride * config.anchors.stride  # pixels per cell
     anchors = base_anchors(config.anchors)

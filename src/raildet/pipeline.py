@@ -60,6 +60,8 @@ class PipelineConfig:
     roi_fg_iou: float = 0.5
 
     def __post_init__(self):
+        if self.roi_bins < 1:
+            raise ValueError(f"roi_bins must be at least 1, got {self.roi_bins}")
         if self.anchors.stride != self.backbone.stride:
             raise ValueError(
                 f"anchor stride {self.anchors.stride} does not match backbone "

@@ -27,23 +27,35 @@ class PreprocessConfig:
     pad_value: int = 0
 
 
-def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+def resize_bilinear(
+    image: np.ndarray, out_h: int, out_w: int, cols: slice = slice(None)
+) -> np.ndarray:
     """Bilinear resampling with pixel centers aligned between grids.
 
-    Returns float64.  The four neighbours are gathered rows first from the
-    input as it is (a uint8 image stays uint8) and widen to float64 only in
-    the blend, which gives the same bits as blending a float64 copy.
+    Returns float64 output columns ``cols`` (default all) of the resized
+    image; each column has the same bits as in the full resize, and only
+    the source columns they blend are read.  The four neighbours are
+    gathered rows first from the input as it is (a uint8 image stays uint8)
+    and widen to float64 only in the blend, which gives the same bits as
+    blending a float64 copy.
     """
     image = np.asarray(image)
     in_h, in_w = image.shape[:2]
     ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0, in_h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * in_w / out_w - 0.5, 0, in_w - 1)
+    out_x = np.arange(*cols.indices(out_w))
+    xs = np.clip((out_x + 0.5) * in_w / out_w - 0.5, 0, in_w - 1)
     y0 = np.floor(ys).astype(int)
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
+    if out_x.size:
+        # gather from the source columns these output columns blend
+        first = x0.min()
+        image = image[:, first : x1.max() + 1]
+        x0 -= first
+        x1 -= first
     if image.ndim == 3:
         fy = fy[..., None]
         fx = fx[..., None]
@@ -77,21 +89,18 @@ def preprocess(
     s = th / in_h
     w1 = int(round(s * in_w))
     w1 = max(w1, 1)
-    scaled = resize_bilinear(image, th, w1)
 
-    if w1 > tw:
-        crop_left = (w1 - tw) // 2
-        canvas = scaled[:, crop_left : crop_left + tw]
-        shift = -float(crop_left)
-    elif w1 < tw:
+    if w1 < tw:
         pad_left = (tw - w1) // 2
-        shape = (th, tw) + scaled.shape[2:]
+        shape = (th, tw) + image.shape[2:]
         canvas = np.full(shape, float(config.pad_value))
-        canvas[:, pad_left : pad_left + w1] = scaled
+        canvas[:, pad_left : pad_left + w1] = resize_bilinear(image, th, w1)
         shift = float(pad_left)
     else:
-        canvas = scaled
-        shift = 0.0
+        # resample only the columns that survive the crop
+        crop_left = (w1 - tw) // 2
+        canvas = resize_bilinear(image, th, w1, slice(crop_left, crop_left + tw))
+        shift = float(-crop_left)
 
     objects = []
     for obj in ann.objects:
@@ -110,8 +119,8 @@ def preprocess(
         image_height=th,
         objects=tuple(objects),
     )
-    # canvas is ours (scaled or a view of it, or the padded copy): round
-    # and clip it in place
+    # canvas is ours (the resize or the padded copy): round and clip it in
+    # place
     np.round(canvas, out=canvas)
     np.clip(canvas, 0, 255, out=canvas)
     return canvas.astype(np.uint8), out_ann

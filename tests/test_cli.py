@@ -322,3 +322,70 @@ class TestMakeWeights:
         img = next(iter(sorted(scene_dir.glob("*.ppm"))))
         assert run("detect", "--image", str(img), "--weights",
                    str(tmp_path / "none.bin"), "--out", str(tmp_path / "d.csv")) == 1
+
+
+@pytest.fixture(scope="module")
+def weight_file(tmp_path_factory):
+    """A 7-bin oracle weight file and its sidecar lines."""
+    out = tmp_path_factory.mktemp("weights") / "w.bin"
+    assert run("make-weights", "--mode", "oracle", "--out", str(out)) == 0
+    return out, (out.parent / "w.bin.meta").read_text().splitlines()
+
+
+class TestBadWeights:
+    def _copy(self, weight_file, tmp_path, lines=None, data=None):
+        src, src_lines = weight_file
+        path = tmp_path / "w.bin"
+        path.write_bytes(src.read_bytes() if data is None else data)
+        (tmp_path / "w.bin.meta").write_text(
+            "\n".join(src_lines if lines is None else lines) + "\n")
+        return path
+
+    def _detect(self, scene_dir, tmp_path, weights, *extra):
+        img = scene_dir / "scene_000100.ppm"
+        return run_process("detect", "--image", str(img), "--weights", str(weights),
+                           "--out", str(tmp_path / "d.csv"), *extra)
+
+    def test_sidecar_without_a_tensor_exit_1(self, scene_dir, weight_file, tmp_path):
+        lines = [ln for ln in weight_file[1] if not ln.startswith("det.reg.bias")]
+        rc, err = self._detect(scene_dir, tmp_path, self._copy(weight_file, tmp_path, lines))
+        assert rc == 1
+        assert_one_line_error(err, "w.bin.meta", "det.reg.bias")
+
+    @pytest.mark.parametrize("cut", [4, 2])
+    def test_length_mismatch_exit_1(self, scene_dir, weight_file, tmp_path, cut):
+        data = weight_file[0].read_bytes()[:-cut]
+        rc, err = self._detect(scene_dir, tmp_path, self._copy(weight_file, tmp_path, data=data))
+        assert rc == 1
+        assert_one_line_error(err, "w.bin", "det.reg.bias")
+
+    def test_trailing_data_exit_1(self, scene_dir, weight_file, tmp_path):
+        data = weight_file[0].read_bytes() + b"\0" * 8
+        rc, err = self._detect(scene_dir, tmp_path, self._copy(weight_file, tmp_path, data=data))
+        assert rc == 1
+        assert_one_line_error(err, "w.bin", "8 bytes after")
+
+    def test_head_wider_than_roi_bins_is_config_error(self, weight_file, tmp_path):
+        cfg = tmp_path / "bins5.cfg"
+        cfg.write_text("pipeline.roi_bins=5\n")
+        # the image does not exist: the check comes before any image is read
+        rc, err = run_process("detect", "--image", str(tmp_path / "none.ppm"), "--weights",
+                              str(weight_file[0]), "--config", str(cfg),
+                              "--out", str(tmp_path / "d.csv"))
+        assert rc == 2
+        assert_one_line_error(err, "config error", "roi_bins=5", "175", "343")
+
+    def test_random_seed_not_an_integer_is_config_error(self, tmp_path):
+        rc, err = run_process("detect", "--image", str(tmp_path / "none.ppm"),
+                              "--weights", "random:x", "--out", str(tmp_path / "d.csv"))
+        assert rc == 2
+        assert_one_line_error(err, "config error", "random:x")
+
+    def test_oracle_at_five_bins_detects(self, scene_dir, tmp_path, capsys):
+        cfg = tmp_path / "bins5.cfg"
+        cfg.write_text("pipeline.roi_bins=5\n")
+        dets = tmp_path / "d.csv"
+        assert run("detect", "--images", str(scene_dir), "--config", str(cfg),
+                   "--out", str(dets)) == 0
+        assert run("eval", "--dets", str(dets), "--gt", str(scene_dir)) == 0
+        assert capsys.readouterr().out.count("100.00%") == 10

@@ -333,3 +333,55 @@ class TestWeightFiles:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(Exception):
             load_weights(path)
+
+
+class TestBadWeightFiles:
+    @pytest.fixture
+    def files(self, tmp_path):
+        path = tmp_path / "w.bin"
+        save_weights(random_weights(25), path)
+        meta = tmp_path / "w.bin.meta"
+        return path, meta, meta.read_text().splitlines()
+
+    def _rejected(self, path, named, *needles):
+        """Loading ``path`` fails with a message naming the file ``named``."""
+        with pytest.raises(ValueError) as info:
+            load_weights(path)
+        for needle in (str(named),) + needles:
+            assert needle in str(info.value)
+
+    def test_missing_tensor(self, files):
+        path, meta, lines = files
+        meta.write_text("\n".join(lines[:-1]) + "\n")
+        self._rejected(path, meta, "det.reg.bias", "missing")
+
+    def test_unknown_tensor(self, files):
+        path, meta, lines = files
+        meta.write_text("\n".join(lines + ["det.extra.bias 3"]) + "\n")
+        self._rejected(path, meta, "det.extra.bias")
+
+    def test_duplicated_tensor(self, files):
+        path, meta, lines = files
+        meta.write_text("\n".join(lines + [lines[1]]) + "\n")
+        self._rejected(path, meta, "rpn.conv.bias", "twice")
+
+    @pytest.mark.parametrize("shape", ["", "5 x", "5 0", "343", "5 343 1", "-5 343"])
+    def test_bad_shape_line(self, files, shape):
+        path, meta, lines = files
+        lines = [f"det.cls.weight {shape}" if ln.startswith("det.cls.weight") else ln
+                 for ln in lines]
+        meta.write_text("\n".join(lines) + "\n")
+        self._rejected(path, meta, "det.cls.weight")
+
+    @pytest.mark.parametrize("extra", [4, 2])
+    def test_binary_too_long(self, files, extra):
+        path, _, _ = files
+        path.write_bytes(path.read_bytes() + b"\0" * extra)
+        self._rejected(path, path, f"{extra} bytes after", "det.reg.bias")
+
+    def test_shape_the_head_rejects(self, files):
+        path, meta, lines = files
+        # same float count, but a 128-wide intermediate layer
+        lines = [ln.replace("256 7 3 3", "128 14 3 3") for ln in lines]
+        meta.write_text("\n".join(lines) + "\n")
+        self._rejected(path, path, "intermediate dimension")

@@ -57,6 +57,22 @@ class TestDetect:
         assert rep.mean_precision == 1.0
         assert rep.mean_recall == 1.0
 
+    def test_oracle_built_for_five_bins_is_exact(self):
+        config = dataclasses.replace(oracle_pipeline_config(), roi_bins=5)
+        weights = build_oracle_weights(config)
+        assert weights.det.cls_w.shape[1] == 5 * 5 * 7
+        per_image = []
+        for seed in range(10):
+            image, ann = synthesize_scene(seed)
+            per_image.append((detect(image, weights, config), list(ann.objects)))
+        rep = evaluate(per_image, EvalConfig(iou_threshold=0.75))
+        assert rep.mean_precision == 1.0
+        assert rep.mean_recall == 1.0
+
+    def test_roi_bins_must_be_positive(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(oracle_pipeline_config(), roi_bins=0)
+
     def test_huge_predicted_scale_is_clamped(self, oracle):
         config, weights = oracle
         reg_b = weights.det.reg_b.copy()

@@ -139,3 +139,32 @@ class TestPreprocess:
         a, _ = preprocess(img, ann_with(w=777, h=1234))
         b, _ = preprocess(img, ann_with(w=777, h=1234))
         assert np.array_equal(a, b)
+
+
+class TestCropBeforeResample:
+    def test_extreme_aspect_ratio_stays_small(self):
+        # scaled to 1000 x 233,333 the full resize would need ~1.9 GB
+        rng = np.random.default_rng(40)
+        image = rng.integers(0, 256, (3, 700)).astype(np.uint8)
+        out, _ = preprocess(image, ann_with(w=700, h=3))
+        assert out.shape == (1000, 800) and out.dtype == np.uint8
+
+    @pytest.mark.parametrize("shape", [(25, 100), (25, 100, 3), (997, 1301), (20, 17)])
+    def test_crop_equals_resize_everything_then_crop(self, shape):
+        rng = np.random.default_rng(41)
+        image = rng.integers(0, 256, shape).astype(np.uint8)
+        w1 = int(round(1000 / shape[0] * shape[1]))
+        left = (w1 - 800) // 2
+        full = resize_bilinear(image, 1000, w1)[:, left : left + 800]
+        expected = np.clip(np.round(full), 0, 255).astype(np.uint8)
+        out, _ = preprocess(image, ann_with(w=shape[1], h=shape[0]))
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("cols", [slice(0, 1), slice(5, 9), slice(30, 61), slice(60, 61),
+                                      slice(None, None, 7)])
+    def test_column_subset_bit_identical(self, cols):
+        rng = np.random.default_rng(42)
+        for image in (rng.integers(0, 256, (37, 29, 3)).astype(np.uint8),
+                      rng.uniform(0, 255, (5, 83))):
+            full = resize_bilinear(image, 80, 61)
+            assert np.array_equal(resize_bilinear(image, 80, 61, cols), full[:, cols])
