@@ -6,6 +6,7 @@ proposal stage decides what to do with out-of-image boxes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,12 +20,13 @@ class AnchorConfig:
     """Scales are anchor side lengths in input pixels (area = scale^2);
     ratios are height/width; stride is input pixels per feature-map cell.
 
-    The default scale/ratio values are the canonical ones for this detector
-    family; nothing downstream depends on them and they are fully
-    configurable.
+    The default scales 16/32/64 fit the 32x32-pixel fastener glyphs (the
+    Faster R-CNN values 128/256/512 are for ~600-pixel images).  The oracle
+    weights are built for these defaults, so changing them changes what the
+    oracle detects.
     """
 
-    scales: tuple[float, float, float] = (128.0, 256.0, 512.0)
+    scales: tuple[float, float, float] = (16.0, 32.0, 64.0)
     ratios: tuple[float, float, float] = (0.5, 1.0, 2.0)
     stride: int = 16
 
@@ -79,10 +81,12 @@ def base_anchors(config: AnchorConfig) -> list[BBox]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def tile(config: AnchorConfig, feat_width: int, feat_height: int) -> AnchorGrid:
     """Translate the base anchors to every cell center of a W x H grid.
 
     Cell (i, j) has its center at ((i + 0.5) * stride, (j + 0.5) * stride).
+    Grids are memoised per (config, W, H), so ``anchors`` is read-only.
     """
     if feat_width < 1 or feat_height < 1:
         raise ValueError("feature map dimensions must be >= 1")
@@ -96,6 +100,7 @@ def tile(config: AnchorConfig, feat_width: int, feat_height: int) -> AnchorGrid:
         [shift_x.ravel(), shift_y.ravel(), shift_x.ravel(), shift_y.ravel()], axis=1
     )
     all_anchors = (shifts[:, None, :] + base[None, :, :]).reshape(-1, 4)
+    all_anchors.setflags(write=False)
     return AnchorGrid(
         anchors=all_anchors, feat_width=feat_width, feat_height=feat_height, k=config.k
     )

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input error, 2 configuration error.  Logs go to
 stderr, data to files or stdout.  Every command that writes an output
-directory drops a run manifest next to its outputs.
+directory drops a run manifest next to its outputs; ``detect`` names its
+manifest after its CSV (``dets.csv`` -> ``dets.manifest.txt``).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .dataio import (
 )
 from .evaluation import CLASS_NAMES, EvalConfig, evaluate
 from .model import NUM_CHANNELS, load_weights, random_weights, save_weights
-from .oracle import build_oracle_weights, oracle_pipeline_config
+from .oracle import build_oracle_weights
 from .pipeline import PipelineConfig, PipelineError, detect, propose_rois
 from .ppm import read_ppm, write_ppm
 from .preprocess import preprocess
@@ -54,30 +55,22 @@ def _worker_count() -> int:
 @dataclasses.dataclass
 class RunManifest:
     command: str
-    config_path: str
+    config: str
     inputs: str
     outputs: str
     seed: int | None
     timestamp: str
     version: str = __version__
 
-    def write(self, out_dir: Path) -> None:
-        lines = [
-            f"command={self.command}",
-            f"config={self.config_path}",
-            f"inputs={self.inputs}",
-            f"outputs={self.outputs}",
-            f"seed={'' if self.seed is None else self.seed}",
-            f"timestamp={self.timestamp}",
-            f"version={self.version}",
-        ]
-        (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    def write(self, path: Path) -> None:
+        fields = dataclasses.asdict(self).items()
+        path.write_text("".join(f"{k}={'' if v is None else v}\n" for k, v in fields))
 
 
 def _manifest(args, command: str, inputs: str, outputs: str, seed: int | None = None) -> RunManifest:
     return RunManifest(
         command=command,
-        config_path=getattr(args, "config", "") or "",
+        config=getattr(args, "config", "") or "",
         inputs=inputs,
         outputs=outputs,
         seed=seed,
@@ -88,7 +81,7 @@ def _manifest(args, command: str, inputs: str, outputs: str, seed: int | None = 
 def _load_pipeline_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
-    return oracle_pipeline_config()
+    return PipelineConfig()
 
 
 def _load_model(args, config: PipelineConfig):
@@ -156,7 +149,7 @@ def cmd_preprocess(args) -> int:
                 failures.append(path.name)
                 _log(f"preprocess {path.name}: FAILED ({e})")
 
-    _manifest(args, "preprocess", str(in_dir), str(out_dir)).write(out_dir)
+    _manifest(args, "preprocess", str(in_dir), str(out_dir)).write(out_dir / "manifest.txt")
     _log(f"{len(images) - len(failures)} images processed")
     return 1 if failures else 0
 
@@ -174,7 +167,7 @@ def cmd_synth(args) -> int:
         names.append(f"{name}.ppm")
         _log(f"synth {name}.ppm: {len(ann.objects)} objects")
     write_split_manifest(out_dir / "split.txt", split(names, seed=args.seed))
-    _manifest(args, "synth", "-", str(out_dir), seed=args.seed).write(out_dir)
+    _manifest(args, "synth", "-", str(out_dir), seed=args.seed).write(out_dir / "manifest.txt")
     return 0
 
 
@@ -212,9 +205,9 @@ def cmd_detect(args) -> int:
         rows.extend((p.name, d) for d in dets)
         _log(f"detect {p.name}: {len(dets)} detections")
     write_detections_csv(args.out, rows)
-    out_dir = Path(args.out).parent
-    if out_dir.is_dir():
-        _manifest(args, "detect", ";".join(str(p) for p in paths), args.out).write(out_dir)
+    _manifest(args, "detect", ";".join(str(p) for p in paths), args.out).write(
+        Path(args.out).with_suffix(".manifest.txt")
+    )
     return 0
 
 

@@ -1,104 +1,115 @@
 """Flat key=value pipeline configuration files.
 
 Lines look like ``section.key=value`` (``proposal.post_nms_top=50``); blank
-lines and ``#`` comments are ignored.  Unknown keys are a configuration
-error so typos fail loudly.
+lines and ``#`` comments are ignored.  Every key, its order, its type and its
+default come from :class:`PipelineConfig`: each nested dataclass field is a
+section named after the field, and PipelineConfig's own scalar fields form
+the ``pipeline`` section.  Unknown and repeated keys are configuration
+errors so typos fail loudly.
 """
 from __future__ import annotations
 
 import dataclasses
+import enum
+import math
+import typing
 from pathlib import Path
 
-from .anchors import AnchorConfig
-from .assignment import AssignmentConfig
-from .evaluation import EvalConfig
-from .model import AttachStage, BackboneSpec
-from .ohem import OhemConfig
 from .pipeline import PipelineConfig
-from .proposal import ProposalConfig
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 class ConfigError(Exception):
     pass
 
 
-def _parse_floats(value: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in value.split(","))
+def _parse_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
 
 
-def _parse_bool(value: str) -> bool:
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"not a boolean: {value!r}")
+def _parse(tp, text: str):
+    """Convert ``text`` to a field's declared type ``tp``."""
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return tp(text.lower())
+    if tp is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"not a boolean: {text!r}")
+        return _BOOLS[text.lower()]
+    if typing.get_origin(tp) is tuple:
+        return tuple(_parse_float(s) for s in text.split(","))
+    return _parse_float(text) if tp is float else tp(text)
+
+
+def _format(value) -> str:
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else repr(value)
+
+
+def _fields(cls) -> list[tuple[dataclasses.Field, object]]:
+    hints = typing.get_type_hints(cls)
+    return [(f, hints[f.name]) for f in dataclasses.fields(cls)]
+
+
+def _keys():
+    """Yield ``(key, section, name, type)`` for every key in file order.
+
+    ``section`` is the PipelineConfig field that holds the key, or None for
+    PipelineConfig's own scalars.
+    """
+    for f, tp in _fields(PipelineConfig):
+        if dataclasses.is_dataclass(tp):
+            for g, gtp in _fields(tp):
+                yield f"{f.name}.{g.name}", f.name, g.name, gtp
+        else:
+            yield f"pipeline.{f.name}", None, f.name, tp
 
 
 def parse_config(text: str) -> PipelineConfig:
     """Build a PipelineConfig from flat key=value text."""
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key in line_of:
+            raise ConfigError(f"{key} is set twice, on lines {line_of[key]} and {ln}")
+        line_of[key] = ln
+        values[key] = value
 
-    def take(key, default, conv):
+    given: dict[str | None, dict[str, object]] = {}
+    for key, section, name, tp in _keys():
         if key in values:
             try:
-                return conv(values.pop(key))
-            except ConfigError:
-                raise
+                given.setdefault(section, {})[name] = _parse(tp, values.pop(key))
             except ValueError as e:
-                raise ConfigError(f"bad value for {key}: {e}")
-        return default
-
-    try:
-        backbone = BackboneSpec(
-            attach_stage=take("backbone.attach_stage", AttachStage.STAGE5,
-                              lambda v: AttachStage(v.lower())),
-            stage5_downsample=take("backbone.stage5_downsample", False, _parse_bool),
-        )
-        anchors = AnchorConfig(
-            scales=take("anchors.scales", (16.0, 32.0, 64.0), _parse_floats),
-            ratios=take("anchors.ratios", (0.5, 1.0, 2.0), _parse_floats),
-            stride=take("anchors.stride", backbone.stride, int),
-        )
-        assignment = AssignmentConfig(
-            pos_iou_threshold=take("assignment.pos_iou_threshold", 0.7, float),
-            neg_iou_threshold=take("assignment.neg_iou_threshold", 0.3, float),
-        )
-        proposal = ProposalConfig(
-            pre_nms_top=take("proposal.pre_nms_top", 6000, int),
-            nms_iou_threshold=take("proposal.nms_iou_threshold", 0.7, float),
-            post_nms_top=take("proposal.post_nms_top", 300, int),
-            min_box_size=take("proposal.min_box_size", 1.0, float),
-        )
-        ohem = OhemConfig(
-            batch_size=take("ohem.batch_size", 256, int),
-            reg_loss_weight=take("ohem.reg_loss_weight", 1.0, float),
-        )
-        eval_cfg = EvalConfig(iou_threshold=take("eval.iou_threshold", 0.75, float))
-        config = PipelineConfig(
-            backbone=backbone,
-            anchors=anchors,
-            assignment=assignment,
-            proposal=proposal,
-            ohem=ohem,
-            eval=eval_cfg,
-            score_threshold=take("pipeline.score_threshold", 0.5, float),
-            final_nms_iou=take("pipeline.final_nms_iou", 0.3, float),
-            roi_bins=take("pipeline.roi_bins", 7, int),
-            roi_fg_iou=take("pipeline.roi_fg_iou", 0.5, float),
-        )
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e))
+                raise ConfigError(f"bad value for {key}: {e}") from None
     if values:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(values))}")
-    return config
+
+    # Sections are built in field order; a section field may carry
+    # ``metadata["defaults_from"]``, which derives some of its defaults from
+    # the sections built before it.
+    kwargs = given.get(None, {})
+    try:
+        for f, tp in _fields(PipelineConfig):
+            if dataclasses.is_dataclass(tp):
+                derive = f.metadata.get("defaults_from")
+                defaults = derive(kwargs) if derive else {}
+                kwargs[f.name] = tp(**{**defaults, **given.get(f.name, {})})
+        return PipelineConfig(**kwargs)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(str(e)) from None
 
 
 def load_config(path) -> PipelineConfig:
@@ -111,26 +122,10 @@ def load_config(path) -> PipelineConfig:
 
 def dump_config(config: PipelineConfig) -> str:
     """Serialize back to the flat key=value form."""
-    lines = [
-        f"backbone.attach_stage={config.backbone.attach_stage.value}",
-        f"backbone.stage5_downsample={str(config.backbone.stage5_downsample).lower()}",
-        "anchors.scales=" + ",".join(repr(s) for s in config.anchors.scales),
-        "anchors.ratios=" + ",".join(repr(r) for r in config.anchors.ratios),
-        f"anchors.stride={config.anchors.stride}",
-        f"assignment.pos_iou_threshold={config.assignment.pos_iou_threshold!r}",
-        f"assignment.neg_iou_threshold={config.assignment.neg_iou_threshold!r}",
-        f"proposal.pre_nms_top={config.proposal.pre_nms_top}",
-        f"proposal.nms_iou_threshold={config.proposal.nms_iou_threshold!r}",
-        f"proposal.post_nms_top={config.proposal.post_nms_top}",
-        f"proposal.min_box_size={config.proposal.min_box_size!r}",
-        f"ohem.batch_size={config.ohem.batch_size}",
-        f"ohem.reg_loss_weight={config.ohem.reg_loss_weight!r}",
-        f"eval.iou_threshold={config.eval.iou_threshold!r}",
-        f"pipeline.score_threshold={config.score_threshold!r}",
-        f"pipeline.final_nms_iou={config.final_nms_iou!r}",
-        f"pipeline.roi_bins={config.roi_bins}",
-        f"pipeline.roi_fg_iou={config.roi_fg_iou!r}",
-    ]
+    lines = []
+    for key, section, name, _ in _keys():
+        owner = getattr(config, section) if section else config
+        lines.append(f"{key}={_format(getattr(owner, name))}")
     return "\n".join(lines) + "\n"
 
 

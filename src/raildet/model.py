@@ -47,11 +47,6 @@ class AttachStage(enum.Enum):
 class BackboneSpec:
     attach_stage: AttachStage = AttachStage.STAGE5
     stage5_downsample: bool = False
-    channels: int = NUM_CHANNELS
-
-    def __post_init__(self):
-        if self.channels != NUM_CHANNELS:
-            raise ValueError(f"toy backbone always emits {NUM_CHANNELS} channels")
 
     @property
     def stride(self) -> int:

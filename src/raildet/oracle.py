@@ -27,21 +27,18 @@ import math
 
 import numpy as np
 
-from .anchors import AnchorConfig, base_anchors
+from .anchors import base_anchors
 from .model import (
     CHAN_OCC,
     CHAN_XMOM,
     CHAN_YMOM,
     NUM_CHANNELS,
     NUM_CLASSES,
-    AttachStage,
-    BackboneSpec,
     DetectHead,
     ModelWeights,
     RpnHead,
 )
 from .pipeline import PipelineConfig
-from .proposal import ProposalConfig
 from .synth import GLYPH_AREAS, GLYPH_SIZE
 from .evaluation import CLASS_NAMES
 
@@ -53,26 +50,16 @@ CLS_GAIN = 60.0
 BG_LOGIT = 1.0
 
 
-def oracle_anchor_config(stride: int = 16) -> AnchorConfig:
-    return AnchorConfig(scales=(16.0, 32.0, 64.0), ratios=(0.5, 1.0, 2.0), stride=stride)
-
-
 def oracle_pipeline_config() -> PipelineConfig:
-    backbone = BackboneSpec(attach_stage=AttachStage.STAGE5, stage5_downsample=False)
-    return PipelineConfig(
-        backbone=backbone,
-        anchors=oracle_anchor_config(backbone.stride),
-        proposal=ProposalConfig(),
-    )
+    """The configuration the oracle weights are built for: the defaults."""
+    return PipelineConfig()
 
 
 def build_oracle_weights(
-    config: PipelineConfig | None = None, intermediate_dim: int = 256
+    config: PipelineConfig = PipelineConfig(), intermediate_dim: int = 256
 ) -> ModelWeights:
     """Oracle RPN and detection heads for ``config``'s anchors, stride and
     ``roi_bins``."""
-    if config is None:
-        config = oracle_pipeline_config()
     bins = config.roi_bins
     k = config.anchors.k
     cell = config.anchors.stride * config.anchors.stride  # pixels per cell

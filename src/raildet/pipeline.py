@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import AnchorConfig, tile
-from .assignment import AssignmentConfig
-from .evaluation import CLASS_NAMES, Detection, EvalConfig
+from .evaluation import CLASS_NAMES, Detection
 from .geometry import (
     BBOX_XFORM_CLIP,
     BoxDelta,
@@ -47,12 +46,17 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of the pipeline; the config file format is derived from
+    these fields (see :mod:`raildet.config`)."""
+
     backbone: BackboneSpec = BackboneSpec()
-    anchors: AnchorConfig = AnchorConfig()
-    assignment: AssignmentConfig = AssignmentConfig()
+    # a config file that sets no anchor stride gets the backbone's
+    anchors: AnchorConfig = field(
+        default=AnchorConfig(),
+        metadata={"defaults_from": lambda built: {"stride": built["backbone"].stride}},
+    )
     proposal: ProposalConfig = ProposalConfig()
     ohem: OhemConfig = OhemConfig()
-    eval: EvalConfig = EvalConfig()
     score_threshold: float = 0.5
     final_nms_iou: float = 0.3
     roi_bins: int = 7
@@ -60,6 +64,12 @@ class PipelineConfig:
     roi_fg_iou: float = 0.5
 
     def __post_init__(self):
+        if not (0.0 <= self.score_threshold < 1.0):
+            raise ValueError(f"score_threshold must be in [0, 1), got {self.score_threshold}")
+        if not (0.0 < self.final_nms_iou < 1.0):
+            raise ValueError(f"final_nms_iou must be in (0, 1), got {self.final_nms_iou}")
+        if not (0.0 < self.roi_fg_iou < 1.0):
+            raise ValueError(f"roi_fg_iou must be in (0, 1), got {self.roi_fg_iou}")
         if self.roi_bins < 1:
             raise ValueError(f"roi_bins must be at least 1, got {self.roi_bins}")
         if self.anchors.stride != self.backbone.stride:

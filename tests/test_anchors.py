@@ -86,3 +86,15 @@ def test_shared_center_per_cell():
 def test_tile_rejects_empty_grid():
     with pytest.raises(ValueError):
         tile(AnchorConfig(), 0, 5)
+
+
+def test_tile_is_memoised_and_read_only():
+    cfg = AnchorConfig()
+    grid = tile(cfg, 50, 62)
+    assert tile(cfg, 50, 62) is grid
+    assert not grid.anchors.flags.writeable
+    with pytest.raises(ValueError):
+        grid.anchors[0, 0] = 1.0
+    fresh = tile.__wrapped__(cfg, 50, 62)
+    assert fresh is not grid
+    assert np.array_equal(grid.anchors, fresh.anchors)

@@ -141,6 +141,15 @@ class TestDetectEval:
         )
         assert run("eval", "--dets", str(dets), "--gt", str(scene_dir)) == 1
 
+    def test_detect_keeps_synth_manifest(self, tmp_path):
+        scenes = tmp_path / "scenes"
+        assert run("synth", "--out", str(scenes), "--count", "1") == 0
+        synth_manifest = (scenes / "manifest.txt").read_text()
+        assert "command=synth" in synth_manifest
+        assert run("detect", "--images", str(scenes), "--out", str(scenes / "dets.csv")) == 0
+        assert (scenes / "manifest.txt").read_text() == synth_manifest
+        assert "command=detect" in (scenes / "dets.manifest.txt").read_text()
+
     def test_detect_missing_image(self, tmp_path):
         assert run("detect", "--image", str(tmp_path / "gone.ppm"),
                    "--out", str(tmp_path / "d.csv")) == 1
@@ -233,6 +242,14 @@ class TestConfigHandling:
     def test_show_config(self, capsys):
         assert run("show-config") == 0
         assert "proposal.post_nms_top=300" in capsys.readouterr().out
+
+    def test_non_finite_scale_is_one_line_config_error(self, scene_dir, tmp_path):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("anchors.scales=inf,32,64\n")
+        rc, err = run_process("detect", "--images", str(scene_dir), "--config", str(cfg),
+                              "--out", str(tmp_path / "d.csv"))
+        assert rc == 2
+        assert_one_line_error(err, "config error", "anchors.scales")
 
 
 class TestBench:

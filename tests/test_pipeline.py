@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 
 import numpy as np
 import pytest
@@ -214,17 +215,156 @@ class TestOhemSimulation:
                 assert img.selected[0] in v_idx
 
 
+DEFAULT_CONFIG_TEXT = """\
+backbone.attach_stage=stage5
+backbone.stage5_downsample=false
+anchors.scales=16.0,32.0,64.0
+anchors.ratios=0.5,1.0,2.0
+anchors.stride=16
+proposal.pre_nms_top=6000
+proposal.nms_iou_threshold=0.7
+proposal.post_nms_top=300
+proposal.min_box_size=1.0
+ohem.batch_size=256
+ohem.reg_loss_weight=1.0
+pipeline.score_threshold=0.5
+pipeline.final_nms_iou=0.3
+pipeline.roi_bins=7
+pipeline.roi_fg_iou=0.5
+"""
+
+
+def _default_entries():
+    """(key, default value) of every config key, walked from the dataclasses."""
+    cfg = PipelineConfig()
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            for g in dataclasses.fields(value):
+                yield f"{f.name}.{g.name}", getattr(value, g.name)
+        else:
+            yield f"pipeline.{f.name}", value
+
+
+def _other_value(value):
+    """A legal value of the same type that differs from ``value``."""
+    if isinstance(value, enum.Enum):
+        members = list(type(value))
+        return members[(members.index(value) + 1) % len(members)]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, float):
+        return value / 2
+    return tuple(2 * v for v in value)
+
+
+def _as_text(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return repr(value)
+
+
+# keys whose non-default value is legal only together with another key
+COMPANION_LINES = {"anchors.stride": "backbone.stage5_downsample=true\n"}
+
+
 class TestConfigFile:
     def test_defaults(self):
         cfg = parse_config("")
         assert cfg.proposal.post_nms_top == 300
         assert cfg.anchors.k == 9
-        assert cfg.eval.iou_threshold == 0.75
+        assert cfg.score_threshold == 0.5
 
     def test_override(self):
-        cfg = parse_config("proposal.post_nms_top=50\n# comment\n\neval.iou_threshold=0.5\n")
+        cfg = parse_config(
+            "proposal.post_nms_top=50\n# comment\n\npipeline.score_threshold=0.25\n"
+        )
         assert cfg.proposal.post_nms_top == 50
-        assert cfg.eval.iou_threshold == 0.5
+        assert cfg.score_threshold == 0.25
+
+    def test_one_default_per_key(self):
+        assert parse_config("") == PipelineConfig() == oracle_pipeline_config()
+
+    def test_default_dump_is_golden(self):
+        assert dump_config(PipelineConfig()) == DEFAULT_CONFIG_TEXT
+        assert parse_config(DEFAULT_CONFIG_TEXT) == PipelineConfig()
+
+    @pytest.mark.parametrize("key,default", list(_default_entries()))
+    def test_every_key_round_trips(self, key, default):
+        line = f"{key}={_as_text(_other_value(default))}"
+        cfg = parse_config(COMPANION_LINES.get(key, "") + line)
+        assert cfg != PipelineConfig()
+        dumped = dump_config(cfg)
+        assert line in dumped.splitlines()
+        assert parse_config(dumped) == cfg
+
+    def test_anchor_stride_follows_backbone(self):
+        cfg = parse_config("backbone.stage5_downsample=true")
+        assert cfg.anchors.stride == cfg.backbone.stride == 32
+        with pytest.raises(ConfigError, match="stride"):
+            parse_config("backbone.stage5_downsample=true\nanchors.stride=16")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"proposal\.post_nms_top.* 1 and 3"):
+            parse_config("proposal.post_nms_top=50\n# comment\nproposal.post_nms_top=60\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "anchors.scales=inf,32,64",
+            "anchors.ratios=0.5,nan,2",
+            "proposal.nms_iou_threshold=nan",
+            "proposal.min_box_size=inf",
+            "ohem.reg_loss_weight=inf",
+            "pipeline.final_nms_iou=nan",
+            "pipeline.score_threshold=-inf",
+        ],
+    )
+    def test_non_finite_rejected(self, line):
+        key = line.split("=")[0]
+        with pytest.raises(ConfigError, match=f"bad value for {key}: not a finite number"):
+            parse_config(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "pipeline.score_threshold=-0.1",
+            "pipeline.score_threshold=1.0",
+            "pipeline.final_nms_iou=0",
+            "pipeline.final_nms_iou=1",
+            "pipeline.roi_fg_iou=0",
+            "pipeline.roi_fg_iou=1.5",
+        ],
+    )
+    def test_out_of_range_rejected(self, line):
+        with pytest.raises(ConfigError, match=line.split("=")[0].split(".")[1]):
+            parse_config(line)
+
+    def test_score_threshold_zero_allowed(self):
+        assert parse_config("pipeline.score_threshold=0").score_threshold == 0.0
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "eval.iou_threshold=0.75",
+            "assignment.pos_iou_threshold=0.7",
+            "assignment.neg_iou_threshold=0.3",
+            "backbone.channels=7",
+        ],
+    )
+    def test_removed_keys_rejected(self, line):
+        with pytest.raises(ConfigError, match="unknown config keys: " + line.split("=")[0]):
+            parse_config(line)
+
+    def test_unknown_keys_listed_sorted(self):
+        with pytest.raises(ConfigError, match="unknown config keys: a.b, z.y$"):
+            parse_config("z.y=1\na.b=2")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
