@@ -155,6 +155,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"--count must not be negative, got {args.count}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
@@ -216,13 +218,14 @@ def cmd_eval(args) -> int:
         eval_config = EvalConfig(iou_threshold=args.iou)
     except ValueError as e:
         raise ConfigError(f"--iou {args.iou}: {e}") from None
+    try:
+        PipelineConfig(score_threshold=args.score_threshold)
+    except ValueError as e:
+        raise ConfigError(f"--score-threshold {args.score_threshold}: {e}") from None
     gt_dir = Path(args.gt)
     if not gt_dir.is_dir():
         raise InputError(f"ground-truth directory not found: {gt_dir}")
-    try:
-        det_rows = read_detections_csv(args.dets)
-    except (OSError, ValueError) as e:
-        raise InputError(f"cannot read detections: {e}")
+    det_rows = _read_dets(args.dets)
 
     by_image: dict[str, list] = {}
     for image, det in det_rows:
@@ -317,7 +320,7 @@ def cmd_render(args) -> int:
     except ValueError as e:
         raise InputError(str(e)) from None
     h, w = image.shape[:2]
-    rows = [d for name, d in read_detections_csv(args.dets) if name == img_path.name]
+    rows = [d for name, d in _read_dets(args.dets) if name == img_path.name]
     for det in rows:
         b = det.box
         if b.x_min < 0 or b.y_min < 0 or b.x_max > w or b.y_max > h:
@@ -381,6 +384,13 @@ def _read_gray(path) -> np.ndarray:
         raise InputError(str(e)) from None
 
 
+def _read_dets(path) -> list:
+    try:
+        return read_detections_csv(path)
+    except (OSError, ValueError) as e:
+        raise InputError(f"cannot read detections {path}: {e}") from None
+
+
 def _image_paths(args) -> list[Path]:
     if args.image:
         p = Path(args.image)
@@ -437,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="precision/recall against VOC ground truth")
     p.add_argument("--dets", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--iou", type=float, default=0.75)
-    p.add_argument("--score-threshold", type=float, default=0.5)
+    p.add_argument("--iou", type=float, default=EvalConfig().iou_threshold)
+    p.add_argument("--score-threshold", type=float, default=PipelineConfig().score_threshold)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=cmd_eval)
 

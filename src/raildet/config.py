@@ -114,9 +114,9 @@ def parse_config(text: str) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}")
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from None
     return parse_config(text)
 
 

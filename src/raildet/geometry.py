@@ -147,10 +147,6 @@ def boxes_to_array(boxes) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64)
 
 
-def array_to_boxes(arr: np.ndarray) -> list[BBox]:
-    return [BBox(*row) for row in np.asarray(arr, dtype=np.float64)]
-
-
 def area_array(boxes: np.ndarray) -> np.ndarray:
     boxes = np.asarray(boxes, dtype=np.float64)
     return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])

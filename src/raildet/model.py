@@ -220,6 +220,24 @@ def rpn_forward(
     return scores, deltas
 
 
+def _bin_bounds(
+    origin: np.ndarray, step: np.ndarray, fm: FeatureMap, bins: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and one-past-last cell of each bin, as integer arrays.
+
+    ``origin`` and ``step`` are (..., 2, 1) ROI origins and bin sizes in
+    feature cells, rows first; the bounds come out (..., 2, bins).
+    """
+    size = np.array([[fm.height], [fm.width]])
+    p = np.arange(bins)
+    lo = np.maximum(np.floor(origin + p * step), 0)
+    hi = np.minimum(np.ceil(origin + (p + 1) * step), size)
+    nearest = np.clip(np.floor(origin + (p + 0.5) * step), 0, size - 1)
+    empty = hi <= lo
+    return (np.where(empty, nearest, lo).astype(np.intp),
+            np.where(empty, nearest + 1, hi).astype(np.intp))
+
+
 def roi_pool(fm: FeatureMap, roi: BBox, bins: int = 7) -> np.ndarray:
     """Max-pool a ROI into a (bins, bins, C) grid.
 
@@ -240,14 +258,7 @@ def roi_pool(fm: FeatureMap, roi: BBox, bins: int = 7) -> np.ndarray:
     # bin bounds, rows in the first line and columns in the second
     origin = np.array([[y0], [x0]])
     step = np.array([[(y1 - y0) / bins], [(x1 - x0) / bins]])
-    size = np.array([[fm.height], [fm.width]])
-    p = np.arange(bins)
-    lo = np.maximum(np.floor(origin + p * step), 0)
-    hi = np.minimum(np.ceil(origin + (p + 1) * step), size)
-    nearest = np.clip(np.floor(origin + (p + 0.5) * step), 0, size - 1)
-    empty = hi <= lo
-    lo = np.where(empty, nearest, lo).astype(np.intp)
-    hi = np.where(empty, nearest + 1, hi).astype(np.intp)
+    lo, hi = _bin_bounds(origin, step, fm, bins)
 
     # reduceat maxes each run between consecutive indices, so interleaved
     # (lo, hi) pairs give the bin maxima at the even positions (bins may
@@ -264,6 +275,80 @@ def roi_pool(fm: FeatureMap, roi: BBox, bins: int = 7) -> np.ndarray:
         out = np.concatenate((out, out[:, :, -1:]), axis=2)
     out = np.maximum.reduceat(out, edges[1] - left, axis=2)[:, :, ::2]
     return out.transpose(1, 2, 0).copy()
+
+
+def _range_max_table(data: np.ndarray) -> np.ndarray:
+    """2-D sparse table of a (C, H, W) map, channel-last.
+
+    ``table[a, b, i, j]`` is the maximum over rows ``i .. i + 2**a - 1`` and
+    columns ``j .. j + 2**b - 1``; entries whose window runs off the map are
+    never filled.  Shape (floor(log2 H) + 1, floor(log2 W) + 1, H, W, C).
+    """
+    _, h, w = data.shape
+    levels_h, levels_w = h.bit_length(), w.bit_length()
+    table = np.empty((levels_h, levels_w, h, w, data.shape[0]), dtype=data.dtype)
+    table[0, 0] = data.transpose(1, 2, 0)
+    for b in range(1, levels_w):
+        half, n = 1 << (b - 1), w - (1 << b) + 1
+        np.maximum(table[0, b - 1, :, :n], table[0, b - 1, :, half : half + n],
+                   out=table[0, b, :, :n])
+    for a in range(1, levels_h):
+        half, n = 1 << (a - 1), h - (1 << a) + 1
+        for b in range(levels_w):
+            m = w - (1 << b) + 1
+            np.maximum(table[a - 1, b, :n, :m], table[a - 1, b, half : half + n, :m],
+                       out=table[a, b, :n, :m])
+    return table
+
+
+def roi_pool_batch(fm: FeatureMap, boxes: np.ndarray, bins: int = 7) -> np.ndarray:
+    """:func:`roi_pool` of every row of an (R, 4) box array: (R, bins, bins, C).
+
+    The bin bounds are ``roi_pool``'s arithmetic over (R, 2, bins) arrays,
+    so they are the same floats.  Each bin's maximum is read from a sparse
+    table of range maxima over the whole map: four overlapping power-of-two
+    windows cover the bin exactly, and the maximum of maxima does not depend
+    on their overlap or order, so every value equals ``roi_pool``'s.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"boxes must be (R, 4), got {boxes.shape}")
+    if not np.all(np.isfinite(boxes)):
+        raise ValueError("roi coordinates must be finite")
+    s = float(fm.stride)
+    x0, y0 = boxes[:, 0] / s, boxes[:, 1] / s
+    x1, y1 = boxes[:, 2] / s, boxes[:, 3] / s
+    outside = (x1 <= 0) | (y1 <= 0) | (x0 >= fm.width) | (y0 >= fm.height)
+    flat = (x1 <= x0) | (y1 <= y0)
+    bad = np.flatnonzero(outside | flat)
+    if bad.size:  # the error roi_pool gives for the first failing ROI
+        if outside[bad[0]]:
+            raise ValueError("roi lies entirely outside the feature map")
+        raise ValueError("roi must have positive area in feature coordinates")
+
+    # bin bounds: (R, 2, bins), rows in the first line and columns in the second
+    origin = np.stack((y0, x0), axis=1)[:, :, None]
+    step = np.stack(((y1 - y0) / bins, (x1 - x0) / bins), axis=1)[:, :, None]
+    lo, hi = _bin_bounds(origin, step, fm, bins)
+
+    # a bin of length n is covered by two windows of length 2**floor(log2 n),
+    # one at each end; per axis: the table level and the two window starts
+    table = _range_max_table(fm.data)
+    _, levels_w, h, w, c = table.shape
+    floor_log2 = np.array([0] + [n.bit_length() - 1 for n in range(1, max(h, w) + 1)])
+    level = floor_log2[hi - lo]
+    last = hi - (1 << level)
+    row_level, col_level = level[:, 0, :, None], level[:, 1, None, :]
+    base = (row_level * levels_w + col_level) * h
+    rows = (lo[:, 0, :, None], last[:, 0, :, None])
+    cols = (lo[:, 1, None, :], last[:, 1, None, :])
+    cells = table.reshape(-1, c)
+    out = None
+    for r in rows:
+        for q in cols:
+            window = cells.take(((base + r) * w + q).reshape(-1), axis=0)
+            out = window if out is None else np.maximum(out, window, out=out)
+    return out.reshape(len(boxes), bins, bins, c)
 
 
 @dataclass(frozen=True)
@@ -310,6 +395,32 @@ def detect_forward(
     e = np.exp(logits)
     probs = e / e.sum()
     deltas = (head.reg_w @ flat + head.reg_b).reshape(NUM_CLASSES - 1, 4)
+    return probs, deltas
+
+
+def detect_forward_batch(
+    pooled: np.ndarray, head: DetectHead
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`detect_forward` of every pooled ROI in an (R, ...) stack.
+
+    Returns (R, 5) class probabilities and (R, 4, 4) deltas, each row equal
+    to ``detect_forward`` of that ROI.  The products are stacked
+    matrix-vector products (``w @ flat[:, :, None]``), the same one per row
+    as ``detect_forward``; an (R, F) @ (F, 5) matrix product would round
+    differently in the last bit.
+    """
+    pooled = np.asarray(pooled, dtype=np.float64)
+    width = int(np.prod(pooled.shape[1:]))
+    if width != head.cls_w.shape[1]:
+        raise ValueError(
+            f"pooled feature size {width} does not match head input {head.cls_w.shape[1]}"
+        )
+    flat = pooled.reshape(len(pooled), width, 1)
+    logits = (head.cls_w @ flat)[:, :, 0] + head.cls_b
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    probs = e / e.sum(axis=1, keepdims=True)
+    deltas = ((head.reg_w @ flat)[:, :, 0] + head.reg_b).reshape(-1, NUM_CLASSES - 1, 4)
     return probs, deltas
 
 

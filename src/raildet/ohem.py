@@ -4,6 +4,11 @@ The mining pass is read-only: losses for every ROI come from a forward
 evaluation that must not touch any model state; only the selected subset
 would feed a training pass (weight updates themselves are outside this
 artifact).
+
+``roi_loss`` and ``ohem_round`` score one ROI at a time and are the
+reference; ``roi_losses`` scores all ROIs of an image from their stacked
+probabilities and deltas with the same result, and is what
+``pipeline.ohem_simulation`` uses.
 """
 from __future__ import annotations
 
@@ -84,6 +89,61 @@ def roi_loss(
         reg_loss=reg,
         total=cls + config.reg_loss_weight * reg,
     )
+
+
+def roi_losses(
+    class_probs: np.ndarray,
+    pred_deltas: np.ndarray,
+    targets: Sequence[tuple[int, BoxDelta | None]],
+    config: OhemConfig = OhemConfig(),
+) -> list[RoiLoss]:
+    """:func:`roi_loss` of R ROIs at once, equal to it row by row.
+
+    Row ``i`` of ``class_probs`` (R, K) and ``pred_deltas`` (R, 4) is scored
+    against ``targets[i] = (target_class, target_delta)``.  The checks are
+    ``roi_loss``'s over whole arrays, and a non-finite predicted delta is
+    rejected as ``BoxDelta`` rejects it.  Cross-entropy uses ``math.log`` and
+    the smooth-L1 terms are added in tx, ty, tw, th order, as in ``roi_loss``.
+    """
+    probs = np.asarray(class_probs, dtype=np.float64)
+    pred = np.asarray(pred_deltas, dtype=np.float64)
+    n = len(targets)
+    if probs.ndim != 2 or probs.shape[0] != n or pred.shape != (n, 4):
+        raise ValueError(
+            f"{n} targets need (R, K) probabilities and (R, 4) deltas, "
+            f"got {probs.shape} and {pred.shape}"
+        )
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+        raise ValueError("invalid probability vector")
+    if not np.all(np.isfinite(pred)):
+        raise ValueError("non-finite predicted delta")
+    sums = probs.sum(axis=1)
+    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    if off.size:
+        raise ValueError(f"probabilities sum to {sums[off[0]]}, not 1")
+    classes = np.array([t[0] for t in targets], dtype=np.intp)
+    out_of_range = np.flatnonzero((classes < 0) | (classes >= probs.shape[1]))
+    if out_of_range.size:
+        raise ValueError(f"target class {classes[out_of_range[0]]} out of range")
+    foreground = np.flatnonzero(classes != 0)
+    if [i for i, (_, d) in enumerate(targets) if d is not None] != foreground.tolist():
+        raise ValueError("target_delta must be present exactly for foreground ROIs")
+
+    cls = [
+        MAX_CLS_LOSS if p <= 0.0 else min(-math.log(p), MAX_CLS_LOSS)
+        for p in probs[np.arange(n), classes].tolist()
+    ]
+    reg = np.zeros(n)
+    if foreground.size:
+        x = pred[foreground] - [targets[i][1].as_tuple() for i in foreground]
+        ax = np.abs(x)
+        terms = np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
+        reg[foreground] = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    total = cls + config.reg_loss_weight * reg
+    return [
+        RoiLoss(roi_index=i, cls_loss=c, reg_loss=r, total=t)
+        for i, (c, r, t) in enumerate(zip(cls, reg.tolist(), total.tolist()))
+    ]
 
 
 def select_hard(losses: Sequence[RoiLoss], config: OhemConfig = OhemConfig()) -> list[int]:

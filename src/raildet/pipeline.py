@@ -2,7 +2,9 @@
 
 ``detect`` chains backbone -> RPN -> proposal -> per-ROI pooling and
 classification -> per-class NMS.  ``ohem_simulation`` runs the read-only
-mining pass over a dataset and reports which ROIs came out hardest.
+mining pass over a dataset and reports which ROIs came out hardest: it pools
+and scores all ROIs of an image in one batched call each and computes their
+losses as arrays, with results equal to the per-ROI ``ohem_round``.
 """
 from __future__ import annotations
 
@@ -21,16 +23,21 @@ from .geometry import (
     encode,
     iou_matrix,
 )
+from . import ohem
 from .model import (
     BackboneSpec,
     FeatureMap,
     ModelWeights,
     detect_forward,
+    detect_forward_batch,
     extract_features,
     roi_pool,
+    roi_pool_batch,
     rpn_forward,
 )
-from .ohem import OhemConfig, RoiLoss, ohem_round
+# ohem_round, the per-ROI reference of the mining round, stays importable
+# from here: perfbench wraps it under this name
+from .ohem import OhemConfig, RoiLoss, ohem_round  # noqa: F401
 from .proposal import ProposalConfig, ScoredBox, nms, propose
 from .voc import Annotation
 
@@ -185,36 +192,38 @@ def ohem_simulation(
 ) -> OhemSimResult:
     """Mining round per image: propose ROIs, target them against ground
     truth (foreground above the RCNN IOU threshold), score every ROI with a
-    read-only forward pass and select the hardest batch."""
+    read-only forward pass and select the hardest batch.
+
+    The ROIs of an image are pooled and classified in one batched call each
+    and their losses come from :func:`raildet.ohem.roi_losses`; the result
+    equals :func:`raildet.ohem.ohem_round` over per-ROI ``roi_pool`` and
+    ``detect_forward`` calls.
+    """
     results = []
     for image, ann in dataset:
         fm, rois = _first_stage(image, weights, config)
         gt_boxes = [o.box for o in ann.objects]
         gt_classes = [1 + CLASS_NAMES.index(o.class_name) for o in ann.objects]
+        roi_arr = boxes_to_array([r.box for r in rois])
 
-        targets: list[tuple[int, BoxDelta | None]] = []
+        targets: list[tuple[int, BoxDelta | None]] = [(0, None)] * len(rois)
         if gt_boxes:
-            roi_arr = boxes_to_array([r.box for r in rois])
             ious = iou_matrix(roi_arr, boxes_to_array(gt_boxes))
-            for i, roi in enumerate(rois):
-                g = int(np.argmax(ious[i])) if ious.shape[1] else 0
-                if ious.shape[1] and ious[i, g] > config.roi_fg_iou:
-                    targets.append((gt_classes[g], encode(roi.box, gt_boxes[g])))
-                else:
-                    targets.append((0, None))
-        else:
-            targets = [(0, None)] * len(rois)
+            best = ious.argmax(axis=1)
+            for i in np.flatnonzero(ious[np.arange(len(rois)), best] > config.roi_fg_iou):
+                g = best[i]
+                targets[i] = (gt_classes[g], encode(rois[i].box, gt_boxes[g]))
 
-        def forward(roi: ScoredBox):
-            pooled = roi_pool(fm, roi.box, config.roi_bins)
-            probs, cls_deltas = detect_forward(pooled, weights.det)
-            fg = int(np.argmax(probs[1:]))
-            return probs, BoxDelta(*cls_deltas[fg])
-
-        selected, losses = ohem_round(rois, forward, targets, config.ohem)
+        with _stage("roi_pool"):
+            pooled = roi_pool_batch(fm, roi_arr, config.roi_bins)
+        with _stage("rcnn"):
+            probs, cls_deltas = detect_forward_batch(pooled, weights.det)
+        # each ROI regresses with the deltas of its likeliest foreground class
+        fg = np.argmax(probs[:, 1:], axis=1)
+        losses = ohem.roi_losses(probs, cls_deltas[np.arange(len(rois)), fg], targets, config.ohem)
         results.append(
             OhemImageResult(
-                selected=selected,
+                selected=ohem.select_hard(losses, config.ohem),
                 losses=losses,
                 roi_classes=[t[0] for t in targets],
             )

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import raildet
-from raildet.cli import main
+from raildet.cli import build_parser, main
 from raildet.dataio import read_detections_csv, read_split_manifest
-from raildet.evaluation import Detection
+from raildet.evaluation import Detection, EvalConfig
 from raildet.geometry import BBox
+from raildet.pipeline import PipelineConfig
 from raildet.ppm import read_ppm, write_ppm
 from raildet.dataio import write_detections_csv
 
@@ -406,3 +407,56 @@ class TestBadWeights:
                    "--out", str(dets)) == 0
         assert run("eval", "--dets", str(dets), "--gt", str(scene_dir)) == 0
         assert capsys.readouterr().out.count("100.00%") == 10
+
+
+class TestCliFaults:
+    """Bad options and malformed files end in one stderr line, never a
+    traceback, in a fresh interpreter."""
+
+    def test_eval_defaults_come_from_the_config_dataclasses(self):
+        args = build_parser().parse_args(["eval", "--dets", "d.csv", "--gt", "g"])
+        assert args.iou == EvalConfig().iou_threshold
+        assert args.score_threshold == PipelineConfig().score_threshold
+
+    @pytest.mark.parametrize("threshold", ["nan", "1.5", "1", "-0.1"])
+    def test_eval_score_threshold_out_of_range_is_config_error(self, scene_dir, threshold):
+        rc, err = run_process("eval", "--dets", str(scene_dir / "missing.csv"),
+                              "--gt", str(scene_dir), "--score-threshold", threshold)
+        assert rc == 2
+        assert_one_line_error(err, "config error", "--score-threshold")
+
+    def test_eval_score_threshold_zero_is_legal(self, scene_dir, tmp_path):
+        dets = tmp_path / "none.csv"
+        write_detections_csv(dets, [])
+        assert run("eval", "--dets", str(dets), "--gt", str(scene_dir),
+                   "--score-threshold", "0") == 0
+
+    @pytest.mark.parametrize("text", ["a,b\n", "", "image,class,score,xmin,ymin,xmax,ymax\n"
+                                      "x.ppm,V,0.9,10,10,5,5\n"])
+    def test_render_bad_detections_csv_is_input_error(self, scene_dir, tmp_path, text):
+        dets = tmp_path / "bad.csv"
+        dets.write_text(text)
+        img = next(iter(sorted(scene_dir.glob("*.ppm"))))
+        rc, err = run_process("render", "--image", str(img), "--dets", str(dets),
+                              "--out", str(tmp_path / "o.ppm"))
+        assert rc == 1
+        assert_one_line_error(err, "bad.csv")
+        assert not (tmp_path / "o.ppm").exists()
+
+    @pytest.mark.parametrize("command", ["show-config", "detect"])
+    def test_non_utf8_config_is_config_error(self, scene_dir, tmp_path, command):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\xe9\nproposal.post_nms_top=50\n".encode("latin-1"))
+        argv = [command, "--config", str(cfg)]
+        if command == "detect":
+            argv += ["--images", str(scene_dir), "--out", str(tmp_path / "d.csv")]
+        rc, err = run_process(*argv)
+        assert rc == 2
+        assert_one_line_error(err, "config error", "latin1.cfg")
+
+    def test_synth_negative_count_is_config_error(self, tmp_path):
+        out = tmp_path / "neg"
+        rc, err = run_process("synth", "--out", str(out), "--count", "-1")
+        assert rc == 2
+        assert_one_line_error(err, "config error", "--count")
+        assert not out.exists()

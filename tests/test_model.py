@@ -19,6 +19,7 @@ from raildet.model import (
     apply_batchnorm,
     conv2d_3x3,
     detect_forward,
+    detect_forward_batch,
     extract_features,
     fold_batchnorm,
     load_weights,
@@ -385,3 +386,27 @@ class TestBadWeightFiles:
         lines = [ln.replace("256 7 3 3", "128 14 3 3") for ln in lines]
         meta.write_text("\n".join(lines) + "\n")
         self._rejected(path, path, "intermediate dimension")
+
+
+class TestDetectForwardBatch:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_detect_forward(self, seed):
+        head = random_weights(seed).det
+        rng = np.random.default_rng(seed)
+        pooled = rng.normal(size=(300, 7, 7, NUM_CHANNELS)) * rng.uniform(0.1, 20)
+        probs, deltas = detect_forward_batch(pooled, head)
+        assert probs.shape == (300, NUM_CLASSES)
+        assert deltas.shape == (300, NUM_CLASSES - 1, 4)
+        for row, p, d in zip(pooled, probs, deltas):
+            want_p, want_d = detect_forward(row, head)
+            assert np.array_equal(p, want_p)
+            assert np.array_equal(d, want_d)
+
+    def test_no_rois(self):
+        probs, deltas = detect_forward_batch(np.zeros((0, 7, 7, NUM_CHANNELS)),
+                                             random_weights(0).det)
+        assert probs.shape == (0, NUM_CLASSES) and deltas.shape == (0, NUM_CLASSES - 1, 4)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match head"):
+            detect_forward_batch(np.zeros((2, 3, 3, NUM_CHANNELS)), random_weights(0).det)

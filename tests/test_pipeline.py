@@ -389,3 +389,88 @@ class TestConfigFile:
     def test_with_post_nms_top(self):
         cfg = parse_config("")
         assert with_post_nms_top(cfg, 10).proposal.post_nms_top == 10
+
+
+class TestBatchedOhem:
+    """``ohem_simulation`` pools and scores all ROIs of an image at once; its
+    result must equal the per-ROI ``ohem_round`` path exactly."""
+
+    @staticmethod
+    def _assert_matches_reference(dataset, weights, config):
+        result = ohem_simulation(dataset, weights, config)
+        assert len(result.per_image) == len(dataset)
+        for img, (image, ann) in zip(result.per_image, dataset):
+            selected, losses, classes = _ohem_reference(image, ann, weights, config)
+            assert img.selected == selected
+            assert img.losses == losses
+            assert img.roi_classes == classes
+        return result
+
+    def test_random_weights_300_rois(self):
+        config = oracle_pipeline_config()
+        dataset = [synthesize_scene(s) for s in (0, 3, 11)]
+        result = self._assert_matches_reference(dataset, random_weights(0), config)
+        for img in result.per_image:
+            assert len(img.losses) == 300
+            assert len(img.selected) == config.ohem.batch_size
+        assert any(c for img in result.per_image for c in img.roi_classes)
+
+    def test_scene_without_objects(self):
+        image, ann = synthesize_scene(4)
+        empty = dataclasses.replace(ann, objects=())
+        result = self._assert_matches_reference([(image, empty)], random_weights(0),
+                                                oracle_pipeline_config())
+        assert not any(result.per_image[0].roi_classes)
+
+    def test_stride_32_backbone(self):
+        config = parse_config("backbone.stage5_downsample=true")
+        assert config.backbone.stride == 32
+        dataset = [synthesize_scene(s) for s in (2, 9)]
+        self._assert_matches_reference(dataset, random_weights(1), config)
+
+    @pytest.mark.parametrize("tensor", ["cls_w", "reg_w"])
+    def test_nan_head_weight_raises(self, oracle, tensor):
+        config, weights = oracle
+        bad = getattr(weights.det, tensor).copy()
+        bad[1, 3] = np.nan
+        det = dataclasses.replace(weights.det, **{tensor: bad})
+        broken = dataclasses.replace(weights, det=det)
+        with pytest.raises(ValueError, match="invalid probability|non-finite"):
+            ohem_simulation([synthesize_scene(0)], broken, config)
+
+    def test_one_batched_pool_and_head_call_per_image(self, oracle, monkeypatch):
+        config, weights = oracle
+        calls = {"roi_pool_batch": 0, "detect_forward_batch": 0}
+
+        def counted(name):
+            original = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counted(name))
+
+        def per_roi(*args, **kwargs):
+            raise AssertionError("per-ROI layer called by the mining round")
+
+        monkeypatch.setattr(pipeline, "roi_pool", per_roi)
+        monkeypatch.setattr(pipeline, "detect_forward", per_roi)
+        ohem_simulation([synthesize_scene(s) for s in range(3)], weights, config)
+        assert calls == {"roi_pool_batch": 3, "detect_forward_batch": 3}
+
+    @pytest.mark.parametrize("stage, layer", [("roi_pool", "roi_pool_batch"),
+                                              ("rcnn", "detect_forward_batch")])
+    def test_failure_is_tagged_with_its_stage(self, oracle, monkeypatch, stage, layer):
+        config, weights = oracle
+
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(pipeline, layer, broken)
+        with pytest.raises(PipelineError) as info:
+            ohem_simulation([synthesize_scene(0)], weights, config)
+        assert info.value.stage == stage

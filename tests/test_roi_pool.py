@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from raildet import pipeline
-from raildet.geometry import BBox
-from raildet.model import FeatureMap, random_weights, roi_pool
+from raildet.geometry import BBox, boxes_to_array
+from raildet.model import FeatureMap, random_weights, roi_pool, roi_pool_batch
 from raildet.oracle import build_oracle_weights, oracle_pipeline_config
 from raildet.pipeline import detect, ohem_simulation
 from raildet.synth import synthesize_scene
@@ -125,3 +125,84 @@ def test_pipeline_unchanged_with_reference_pooling(weights_name, monkeypatch):
     assert got_dets == want_dets
     assert got_ohem == want_ohem
     assert all(got_dets) and all(img.selected for img in got_ohem.per_image)
+
+
+# ---------------------------------------------------------------------------
+# roi_pool_batch: every ROI of an image in one call
+# ---------------------------------------------------------------------------
+
+def _assert_batch_matches_reference(fm, rois, bins):
+    got = roi_pool_batch(fm, boxes_to_array(rois), bins)
+    assert got.shape == (len(rois), bins, bins, fm.channels)
+    for roi, pooled in zip(rois, got):
+        assert np.array_equal(pooled, reference_roi_pool(fm, roi, bins)), (roi, bins)
+
+
+@pytest.mark.parametrize("stride", [16, 32])
+@pytest.mark.parametrize(
+    "shape", [(7, 62, 50), (7, 31, 25), (3, 5, 4), (2, 1, 1), (3, 1, 9), (3, 9, 1)]
+)
+def test_batch_bit_identical_to_reference(stride, shape):
+    rng = np.random.default_rng(stride * 1000 + shape[1] * 10 + shape[2])
+    fm = FeatureMap(data=rng.normal(size=shape), stride=stride)
+    rois = _random_rois(rng, fm, 60)
+    for bins in range(1, 9):
+        _assert_batch_matches_reference(fm, rois, bins)
+
+
+def test_batch_edge_cases_bit_identical():
+    rng = np.random.default_rng(7)
+    fm = FeatureMap(data=rng.normal(size=(3, 6, 5)), stride=16)
+    rois = [
+        BBox(0, 0, 80, 96),
+        BBox(64, 80, 80, 96),
+        BBox(-50, -50, 8, 8),
+        BBox(70, 90, 500, 500),
+        BBox(32, 32, 32 + 1e-9, 32 + 1e-9),
+        BBox(16, 16, 17, 300),
+    ]
+    for bins in (1, 2, 3, 7, 8):
+        _assert_batch_matches_reference(fm, rois, bins)
+
+
+def test_batch_equals_roi_pool_on_a_real_feature_map():
+    fm = pipeline.extract_features(synthesize_scene(5)[0])
+    rois = _random_rois(np.random.default_rng(5), fm, 40)
+    got = roi_pool_batch(fm, boxes_to_array(rois), 7)
+    for roi, pooled in zip(rois, got):
+        assert np.array_equal(pooled, roi_pool(fm, roi, 7))
+
+
+def test_batch_of_no_rois():
+    fm = FeatureMap(data=np.ones((7, 4, 3)), stride=16)
+    assert roi_pool_batch(fm, np.zeros((0, 4)), 7).shape == (0, 7, 7, 7)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (BBox(-40, -40, -8, -8), "outside the feature map"),
+        (BBox(10, 10, 10, 40), "positive area"),
+    ],
+)
+def test_batch_raises_what_roi_pool_raises(bad, message):
+    fm = FeatureMap(data=np.ones((2, 4, 3)), stride=16)
+    with pytest.raises(ValueError, match=message):
+        roi_pool(fm, bad, 7)
+    boxes = boxes_to_array([BBox(0, 0, 16, 16), bad, BBox(0, 0, 32, 32)])
+    with pytest.raises(ValueError, match=message):
+        roi_pool_batch(fm, boxes, 7)
+
+
+def test_batch_reports_the_first_failing_roi():
+    fm = FeatureMap(data=np.ones((2, 4, 3)), stride=16)
+    boxes = boxes_to_array([BBox(10, 10, 10, 40), BBox(-40, -40, -8, -8)])
+    with pytest.raises(ValueError, match="positive area"):
+        roi_pool_batch(fm, boxes, 7)
+
+
+@pytest.mark.parametrize("boxes", [np.zeros((3,)), np.zeros((2, 3)), np.full((1, 4), np.nan)])
+def test_batch_rejects_malformed_box_arrays(boxes):
+    fm = FeatureMap(data=np.ones((2, 4, 3)), stride=16)
+    with pytest.raises(ValueError):
+        roi_pool_batch(fm, boxes, 7)
