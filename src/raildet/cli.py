@@ -78,6 +78,13 @@ def _manifest(args, command: str, inputs: str, outputs: str, seed: int | None = 
     )
 
 
+def _seed(seed: int, flag: str) -> int:
+    """``seed`` if numpy's generators take it: they reject negative seeds."""
+    if seed < 0:
+        raise ConfigError(f"{flag}: the seed must not be negative, got {seed}")
+    return seed
+
+
 def _load_pipeline_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
@@ -93,7 +100,8 @@ def _load_model(args, config: PipelineConfig):
             seed = int(spec.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"--weights {spec!r}: the seed must be an integer") from None
-        return random_weights(seed, k=config.anchors.k, bins=config.roi_bins)
+        return random_weights(_seed(seed, f"--weights {spec}"), k=config.anchors.k,
+                              bins=config.roi_bins)
     if not Path(spec).exists():
         raise InputError(f"weights file not found: {spec}")
     try:
@@ -486,6 +494,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "seed"):
+            _seed(args.seed, "--seed")
         return args.fn(args)
     except ConfigError as e:
         _log(f"config error: {e}")

@@ -123,10 +123,27 @@ def extract_features(image: np.ndarray, spec: BackboneSpec = BackboneSpec()) -> 
         per_col = occ.sum(axis=1, dtype=np.uint16)  # (h_cells, w_cells, s)
         chans[c] = per_col.sum(axis=2) / cell_area
         if c == CHAN_OCC[0]:
-            per_row = occ.sum(axis=3, dtype=np.uint16)  # (h_cells, s, w_cells)
             chans[CHAN_XMOM] = (per_col @ pos) / cell_area
-            chans[CHAN_YMOM] = np.einsum("hsw,s->hw", per_row, pos) / cell_area
+            chans[CHAN_YMOM] = _row_moment(occ) / cell_area
     return FeatureMap(data=chans, stride=s)
+
+
+def _row_moment(occ: np.ndarray) -> np.ndarray:
+    """Cell sums of ``occ`` weighted by row position in strides, (h, w).
+
+    ``occ`` is the (h, s, w, s) 0/1 cell view.  Row ``r`` weighs
+    ``(2r + 1 - s) / (2s)``: the odd integers are summed exactly in int16,
+    one row at a time and then over the contiguous axis, and divided by the
+    power of two ``2s`` once, so the value equals the float sum over rows.
+    """
+    s = occ.shape[1]
+    weights = np.arange(1 - s, s, 2, dtype=np.int16)
+    acc = np.zeros(occ[:, 0].shape, dtype=np.int16)  # (h, w, s)
+    term = np.empty_like(acc)
+    for r in range(s):
+        np.multiply(occ[:, r], weights[r], out=term)
+        acc += term
+    return acc.sum(axis=2) / (2 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +213,52 @@ def rpn_forward(
 
     Returns ``scores`` of shape (H*W*k,) -- softmax foreground probability
     per anchor -- and ``deltas`` of shape (H*W*k, 4), both in the same
-    row-major-cells-then-anchor order the anchor grid uses.
+    row-major-cells-then-anchor order the anchor grid uses.  Intermediate
+    channels that can only add exact zeros are left out of every product
+    (see :func:`_live_channels`).
     """
     if head.k != k:
         raise ValueError(f"head built for k={head.k}, requested k={k}")
     if fm.channels != head.conv_w.shape[1]:
         raise ValueError("feature channels do not match the head")
-    # in place: each (D, H, W) temporary is a fresh multi-megabyte mapping
-    inter = conv2d_3x3(fm.data, head.conv_w, head.conv_b)
+    conv_w, conv_b, score_w, delta_w = head.conv_w, head.conv_b, head.score_w, head.delta_w
+    live = _live_channels(head)
+    if live is not None:
+        conv_w, conv_b = conv_w[live], conv_b[live]
+        score_w, delta_w = score_w[:, live], delta_w[:, live]
+    inter = conv2d_3x3(fm.data, conv_w, conv_b)
     np.maximum(inter, 0.0, out=inter)
     h, w = fm.height, fm.width
-    flat = inter.reshape(head.intermediate_dim, -1)
+    flat = inter.reshape(len(conv_b), h * w)
+    # biases and the stable softmax over each (background, foreground) pair
+    # go in place: every copy of a head product raises the per-image peak of
+    # transient memory, which the allocator may hand back and fault in again
+    logits = score_w @ flat
+    logits += head.score_b[:, None]
+    logits = logits.reshape(k, 2, h, w)
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    scores = (e[:, 1] / e.sum(axis=1)).transpose(1, 2, 0).reshape(-1)
+    deltas = delta_w @ flat
+    deltas += head.delta_b[:, None]
+    return scores, deltas.reshape(k, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4)
 
-    logits = (head.score_w @ flat + head.score_b[:, None]).reshape(k, 2, h, w)
-    # stable softmax over the (background, foreground) pair
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    fg = e[:, 1] / e.sum(axis=1)
-    scores = fg.transpose(1, 2, 0).reshape(-1)
 
-    deltas = (head.delta_w @ flat + head.delta_b[:, None]).reshape(k, 4, h, w)
-    deltas = deltas.transpose(2, 3, 0, 1).reshape(-1, 4)
-    return scores, deltas
+def _live_channels(head: RpnHead) -> np.ndarray | None:
+    """Indices of the intermediate channels that can change the RPN output,
+    or None when every channel can.
+
+    A channel whose conv weights and bias are all zero is exactly 0 after the
+    ReLU, so it adds only exact zeros to the heads -- unless its score or
+    delta column holds a non-finite entry, which turns the zero into NaN.
+    """
+    live = (
+        head.conv_w.any(axis=(1, 2, 3))
+        | (head.conv_b != 0)
+        | ~np.isfinite(head.score_w).all(axis=0)
+        | ~np.isfinite(head.delta_w).all(axis=0)
+    )
+    return None if live.all() else np.flatnonzero(live)
 
 
 def _bin_bounds(

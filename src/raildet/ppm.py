@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# rows converted to grayscale at a time: the uint16 sum of a block stays
+# small, instead of a second full-size plane
+GRAY_BLOCK_ROWS = 64
+
 
 def write_ppm(path, image: np.ndarray) -> None:
     """Write a (H, W) grayscale or (H, W, 3) RGB uint8 array as binary PPM."""
@@ -29,9 +33,10 @@ def read_ppm(path, grayscale: bool = False) -> np.ndarray:
     ``grayscale=True``.
 
     The grayscale value is the channel mean rounded to the nearest integer,
-    computed as ``(r + g + b + 1) // 3`` in uint16.  The mean has fractional
-    part 0, 1/3 or 2/3, so it never ties and this equals ``np.round`` of the
-    float mean for every sum from 0 to 765.
+    computed as ``(r + g + b + 1) // 3`` in uint16, ``GRAY_BLOCK_ROWS`` rows
+    at a time.  The mean has fractional part 0, 1/3 or 2/3, so it never ties
+    and this equals ``np.round`` of the float mean for every sum from 0 to
+    765.
 
     Raises ``ValueError`` naming ``path`` unless the file has the ``P6``
     magic, positive integer width and height, maxval 255 and at least
@@ -68,11 +73,15 @@ def read_ppm(path, grayscale: bool = False) -> np.ndarray:
         )
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
     image = pixels.reshape(h, w, 3)
-    if grayscale:
-        total = image[..., 0].astype(np.uint16)
-        total += image[..., 1]
-        total += image[..., 2]
+    if not grayscale:
+        return image.copy()
+    gray = np.empty((h, w), dtype=np.uint8)
+    for top in range(0, h, GRAY_BLOCK_ROWS):
+        block = image[top : top + GRAY_BLOCK_ROWS]
+        total = block[..., 0].astype(np.uint16)
+        total += block[..., 1]
+        total += block[..., 2]
         total += 1
         total //= 3
-        return total.astype(np.uint8)
-    return image.copy()
+        gray[top : top + GRAY_BLOCK_ROWS] = total
+    return gray

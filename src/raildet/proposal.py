@@ -19,6 +19,7 @@ from .anchors import AnchorGrid
 from .geometry import BBOX_XFORM_CLIP, BBox, clip_array, decode_array, iou_matrix
 
 NMS_BLOCK = 256
+DECODE_CHUNK = 4096  # anchors decoded and clipped at a time
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,14 @@ def propose(
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite objectness score")
 
-    # Clamp tw/th so that a huge predicted scale cannot overflow exp.
-    clamped = np.minimum(deltas, [np.inf, np.inf, BBOX_XFORM_CLIP, BBOX_XFORM_CLIP])
-    boxes = clip_array(decode_array(grid.anchors, clamped), image_w, image_h)
+    # Clamp tw/th so that a huge predicted scale cannot overflow exp.  Decode
+    # and clip are per box, so chunks keep their temporaries small.
+    limit = np.array([np.inf, np.inf, BBOX_XFORM_CLIP, BBOX_XFORM_CLIP])
+    boxes = np.empty((n, 4))
+    for start in range(0, n, DECODE_CHUNK):
+        rows = slice(start, start + DECODE_CHUNK)
+        clamped = np.minimum(deltas[rows], limit)
+        boxes[rows] = clip_array(decode_array(grid.anchors[rows], clamped), image_w, image_h)
     widths = boxes[:, 2] - boxes[:, 0]
     heights = boxes[:, 3] - boxes[:, 1]
     keep = (widths >= config.min_box_size) & (heights >= config.min_box_size)

@@ -460,3 +460,32 @@ class TestCliFaults:
         assert rc == 2
         assert_one_line_error(err, "config error", "--count")
         assert not out.exists()
+
+
+class TestNegativeSeeds:
+    """numpy's generators reject negative seeds; the CLI turns each into one
+    config-error line that names the flag, in a fresh interpreter."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--count", "1", "--seed", "-1"], "--seed"),
+        (["bench", "--seed", "-1", "--repeat", "1"], "--seed"),
+        (["make-weights", "--mode", "random", "--seed", "-5"], "--seed"),
+        (["detect", "--weights", "random:-1"], "--weights random:-1"),
+        (["propose", "--weights", "random:-1"], "--weights random:-1"),
+        (["bench", "--weights", "random:-1", "--repeat", "1"], "--weights random:-1"),
+    ])
+    def test_negative_seed_is_config_error(self, scene_dir, tmp_path, argv, flag):
+        out = tmp_path / "out"
+        command = argv[0]
+        if command in ("synth", "make-weights", "detect"):
+            argv = argv + ["--out", str(out)]
+        if command in ("detect", "propose"):
+            argv = argv + ["--image", str(next(iter(sorted(scene_dir.glob("*.ppm")))))]
+        rc, err = run_process(*argv)
+        assert rc == 2
+        assert_one_line_error(err, "config error", flag, "negative")
+        assert not out.exists()
+
+    def test_seed_zero_is_legal(self, tmp_path):
+        assert run("make-weights", "--mode", "random", "--seed", "0",
+                   "--out", str(tmp_path / "w.bin")) == 0

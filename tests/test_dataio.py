@@ -150,3 +150,28 @@ class TestDetectionsCsv:
         path = tmp_path / "empty.csv"
         write_detections_csv(path, [])
         assert read_detections_csv(path) == []
+
+
+def whole_plane_gray(rgb):
+    """Grayscale decode over the whole plane at once, one uint16 sum."""
+    total = rgb[..., 0].astype(np.uint16)
+    total += rgb[..., 1]
+    total += rgb[..., 2]
+    total += 1
+    total //= 3
+    return total.astype(np.uint8)
+
+
+class TestPpmRowBlocks:
+    @pytest.mark.parametrize("w, h", [(5, 1), (5, 63), (5, 64), (5, 65), (9, 1000),
+                                      (3, 700), (7, 3)])
+    def test_equals_whole_plane_decode(self, tmp_path, w, h):
+        rng = np.random.default_rng(w * 10000 + h)
+        rgb = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+        rgb[0, 0] = 255  # the largest sum, 765
+        path = tmp_path / "img.ppm"
+        write_ppm(path, rgb)
+        got = read_ppm(path, grayscale=True)
+        assert got.shape == (h, w) and got.dtype == np.uint8
+        assert np.array_equal(got, whole_plane_gray(rgb))
+        assert np.array_equal(read_ppm(path), rgb)

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from raildet.geometry import BBox
+from raildet.model import _live_channels
+from raildet.oracle import build_oracle_weights
+from raildet.pipeline import PipelineConfig, PipelineError, detect
 from raildet.synth import synthesize_scene
 from raildet.model import (
     CHAN_LUM,
@@ -410,3 +415,169 @@ class TestDetectForwardBatch:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match head"):
             detect_forward_batch(np.zeros((2, 3, 3, NUM_CHANNELS)), random_weights(0).det)
+
+
+def einsum_features(image, spec):
+    """The filter bank with the y-moment as a float einsum over per-row
+    counts: the backbone before the moment was summed in integers."""
+    image = np.asarray(image)
+    if image.dtype != np.uint8:
+        image = image.astype(np.float64, copy=False)
+    s = spec.stride
+    h_cells, w_cells = 1000 // s, 800 // s
+    cells = image[: h_cells * s, : w_cells * s].reshape(h_cells, s, w_cells, s)
+    cell_area = s * s
+    chans = np.empty((NUM_CHANNELS, h_cells, w_cells))
+    if image.dtype == np.uint8:
+        lum = cells.sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
+    else:
+        lum = cells.sum(axis=(1, 3))
+    chans[CHAN_LUM] = lum / cell_area / 255.0
+    pos = (np.arange(s) + 0.5 - 0.5 * s) / s
+    for c, t in zip(CHAN_OCC, INTENSITY_THRESHOLDS):
+        occ = (cells > t).view(np.uint8)
+        per_col = occ.sum(axis=1, dtype=np.uint16)
+        chans[c] = per_col.sum(axis=2) / cell_area
+        if c == CHAN_OCC[0]:
+            per_row = occ.sum(axis=3, dtype=np.uint16)
+            chans[CHAN_XMOM] = (per_col @ pos) / cell_area
+            chans[CHAN_YMOM] = np.einsum("hsw,s->hw", per_row, pos) / cell_area
+    return chans
+
+
+ALL_SPECS = [
+    BackboneSpec(attach_stage=AttachStage.STAGE4),
+    BackboneSpec(stage5_downsample=False),
+    BackboneSpec(stage5_downsample=True),
+]
+
+
+class TestIntegerRowMoment:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=["stage4", "stage5", "stage5-down"])
+    def test_equals_einsum_reference(self, spec):
+        rng = np.random.default_rng(31)
+        images = [synthesize_scene(seed)[0] for seed in (0, 3, 11)]
+        images.append(rng.integers(0, 256, (1000, 800)).astype(np.uint8))
+        images.append(np.full((1000, 800), 255, dtype=np.uint8))
+        images.append(rng.uniform(0, 255, (1000, 800)))
+        images.append(rng.choice([99.5, 100.0, 100.25, 220.0, 220.01], size=(1000, 800)))
+        for image in images:
+            for given in (image, image.astype(np.float64)):
+                expected = einsum_features(given, spec)
+                assert np.array_equal(extract_features(given, spec).data, expected)
+
+
+def full_rpn_forward(fm, head, k):
+    """The RPN over every intermediate channel, dead ones included."""
+    inter = conv2d_3x3(fm.data, head.conv_w, head.conv_b)
+    np.maximum(inter, 0.0, out=inter)
+    h, w = fm.height, fm.width
+    flat = inter.reshape(head.intermediate_dim, -1)
+    logits = (head.score_w @ flat + head.score_b[:, None]).reshape(k, 2, h, w)
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    scores = (e[:, 1] / e.sum(axis=1)).transpose(1, 2, 0).reshape(-1)
+    deltas = (head.delta_w @ flat + head.delta_b[:, None]).reshape(k, 4, h, w)
+    return scores, deltas.transpose(2, 3, 0, 1).reshape(-1, 4)
+
+
+def _with_dead_channels(head, dead):
+    conv_w, conv_b = head.conv_w.copy(), head.conv_b.copy()
+    conv_w[dead] = 0.0
+    conv_b[dead] = 0.0
+    return dataclasses.replace(head, conv_w=conv_w, conv_b=conv_b)
+
+
+class TestCompactRpn:
+    @pytest.fixture(scope="class")
+    def oracle_heads(self):
+        out = {}
+        for spec in (BackboneSpec(), BackboneSpec(stage5_downsample=True)):
+            base = PipelineConfig()
+            config = dataclasses.replace(
+                base, backbone=spec, anchors=dataclasses.replace(base.anchors, stride=spec.stride))
+            out[spec.stride] = (spec, build_oracle_weights(config).rpn)
+        return out
+
+    def test_oracle_head_has_dead_channels(self, oracle_heads):
+        live = _live_channels(oracle_heads[16][1])
+        assert live is not None and 0 < len(live) < 256
+
+    @pytest.mark.parametrize("stride", [16, 32])
+    def test_bit_identical_to_full_path_on_oracle_heads(self, oracle_heads, stride):
+        spec, head = oracle_heads[stride]
+        for seed in range(12 if stride == 16 else 4):
+            fm = extract_features(synthesize_scene(seed)[0], spec)
+            scores, deltas = rpn_forward(fm, head, 9)
+            ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+            assert np.array_equal(scores, ref_scores)
+            assert np.array_equal(deltas, ref_deltas)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_head_with_zeroed_channels_matches_full_path(self, seed):
+        rng = np.random.default_rng(seed)
+        head = random_weights(seed, scale=0.3).rpn
+        head = _with_dead_channels(head, rng.random(256) < 0.8)
+        fm = extract_features(synthesize_scene(seed)[0])
+        scores, deltas = rpn_forward(fm, head, 9)
+        ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0)
+        # a shorter sum rounds differently; the absolute floor covers deltas
+        # that cancel to near zero (the deltas are of order 0.01)
+        np.testing.assert_allclose(deltas, ref_deltas, rtol=1e-12, atol=1e-15)
+
+    def test_all_dead_head_gives_the_biases(self):
+        head = _with_dead_channels(random_weights(3).rpn, slice(None))
+        assert len(_live_channels(head)) == 0
+        fm = extract_features(synthesize_scene(0)[0])
+        scores, deltas = rpn_forward(fm, head, 9)
+        ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+        assert np.array_equal(scores, ref_scores)
+        assert np.array_equal(deltas, np.tile(head.delta_b.reshape(9, 4), (fm.height * fm.width, 1)))
+        assert np.array_equal(deltas, ref_deltas)
+
+    def test_all_live_head_uses_the_head_as_is(self):
+        head = random_weights(0).rpn
+        assert _live_channels(head) is None
+        fm = extract_features(synthesize_scene(0)[0])
+        scores, deltas = rpn_forward(fm, head, 9)
+        ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+        assert np.array_equal(scores, ref_scores)
+        assert np.array_equal(deltas, ref_deltas)
+
+    def test_bias_only_channels_stay_live(self):
+        # zero weights but a positive bias: a constant channel after the ReLU
+        head = random_weights(4, scale=0.3).rpn
+        conv_w, conv_b = head.conv_w.copy(), head.conv_b.copy()
+        conv_w[:200] = 0.0
+        conv_b[:100] = 0.0
+        conv_b[100:200] = 0.5
+        head = dataclasses.replace(head, conv_w=conv_w, conv_b=conv_b)
+        assert np.array_equal(_live_channels(head), np.arange(100, 256))
+        fm = extract_features(synthesize_scene(4)[0])
+        scores, deltas = rpn_forward(fm, head, 9)
+        ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(deltas, ref_deltas, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("column", ["score_w", "delta_w"])
+    def test_non_finite_dead_column_stays_live(self, oracle_heads, column):
+        head = oracle_heads[16][1]
+        dead = np.setdiff1d(np.arange(256), _live_channels(head))[0]
+        bad = getattr(head, column).copy()
+        bad[1, dead] = np.inf
+        live = _live_channels(dataclasses.replace(head, **{column: bad}))
+        assert dead in live
+
+    def test_nan_score_in_dead_column_fails_the_proposal_stage(self):
+        config = PipelineConfig()
+        weights = build_oracle_weights(config)
+        head = weights.rpn
+        dead = np.setdiff1d(np.arange(256), _live_channels(head))[0]
+        score_w = head.score_w.copy()
+        score_w[3, dead] = np.nan
+        weights = dataclasses.replace(weights, rpn=dataclasses.replace(head, score_w=score_w))
+        with pytest.raises(PipelineError) as info:
+            detect(synthesize_scene(0)[0], weights, config)
+        assert info.value.stage == "proposal"
+        assert "non-finite objectness score" in str(info.value)

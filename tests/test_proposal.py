@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from raildet import proposal
 from raildet.anchors import AnchorConfig, tile
-from raildet.geometry import BBox, iou
+from raildet.geometry import BBOX_XFORM_CLIP, BBox, clip_array, decode_array, iou
 from raildet.proposal import ProposalConfig, ScoredBox, _greedy_keep, nms, propose
 
 
@@ -233,3 +234,48 @@ def test_exact_duplicates_across_block_edge():
         arr[pos] = arr[0]
     kept = _greedy_keep(arr, 0.5)
     assert kept == [i for i in range(600) if i not in (255, 256, 511)]
+
+
+def unchunked_propose(grid, scores, deltas, image_w, image_h, config=ProposalConfig()):
+    """``propose`` decoding and clipping every anchor in one pass."""
+    clamped = np.minimum(deltas, [np.inf, np.inf, BBOX_XFORM_CLIP, BBOX_XFORM_CLIP])
+    boxes = clip_array(decode_array(grid.anchors, clamped), image_w, image_h)
+    keep = ((boxes[:, 2] - boxes[:, 0] >= config.min_box_size)
+            & (boxes[:, 3] - boxes[:, 1] >= config.min_box_size))
+    idx = np.nonzero(keep)[0]
+    idx = idx[np.lexsort((idx, -scores[idx]))][: config.pre_nms_top]
+    kept = _greedy_keep(boxes[idx], config.nms_iou_threshold, max_keep=config.post_nms_top)
+    return [ScoredBox(BBox(*boxes[idx[p]]), float(scores[idx[p]]), int(idx[p])) for p in kept]
+
+
+class TestChunkedDecode:
+    def _inputs(self, seed, w, h):
+        grid = tile(AnchorConfig(), w, h)
+        rng = np.random.default_rng(seed)
+        scores = rng.choice(np.linspace(0.05, 0.95, 19), len(grid))
+        deltas = rng.normal(0, 0.5, (len(grid), 4))
+        deltas[::7, 2:] = 40.0  # past the clamp
+        deltas[::11, :2] = 90.0  # shoved off the canvas
+        return grid, scores, deltas
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_full_map_equals_unchunked(self, seed):
+        grid, scores, deltas = self._inputs(seed, 50, 62)
+        assert len(grid) % proposal.DECODE_CHUNK != 0
+        for config in (ProposalConfig(), ProposalConfig(post_nms_top=10, pre_nms_top=500)):
+            assert (propose(grid, scores, deltas, 800, 1000, config)
+                    == unchunked_propose(grid, scores, deltas, 800, 1000, config))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 90, 4096])
+    def test_any_chunk_size_equals_unchunked(self, monkeypatch, chunk):
+        grid, scores, deltas = self._inputs(2, 5, 4)  # 180 anchors
+        monkeypatch.setattr(proposal, "DECODE_CHUNK", chunk)
+        assert (propose(grid, scores, deltas, 80, 64)
+                == unchunked_propose(grid, scores, deltas, 80, 64))
+
+    def test_non_finite_delta_in_a_later_chunk_raises(self, monkeypatch):
+        grid, scores, deltas = self._inputs(3, 5, 4)
+        deltas[170, 0] = np.nan
+        monkeypatch.setattr(proposal, "DECODE_CHUNK", 16)
+        with pytest.raises(ValueError, match="non-finite delta"):
+            propose(grid, scores, deltas, 80, 64)
