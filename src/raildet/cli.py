@@ -47,9 +47,12 @@ def _log(msg: str) -> None:
 def _worker_count() -> int:
     raw = os.environ.get("DETPIPE_THREADS", "")
     try:
-        return max(1, int(raw)) if raw else 4
+        count = int(raw) if raw else 4
     except ValueError:
-        return 4
+        count = 0
+    if count < 1:
+        raise ConfigError(f"DETPIPE_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 @dataclasses.dataclass
@@ -122,6 +125,7 @@ def _load_model(args, config: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
+    workers = _worker_count()
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out_dir)
     if not in_dir.is_dir():
@@ -145,7 +149,7 @@ def cmd_preprocess(args) -> int:
         (out_dir / xml_path.name).write_bytes(write_voc(out_ann))
         return img_path.name, image.shape
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [(p, pool.submit(one, p)) for p in images]
         for path, fut in futures:
             try:
@@ -334,7 +338,8 @@ def cmd_render(args) -> int:
         if b.x_min < 0 or b.y_min < 0 or b.x_max > w or b.y_max > h:
             raise InputError(f"detection outside image bounds: {b.as_tuple()}")
         color = RENDER_COLORS[det.class_name]
-        x0, y0 = int(round(b.x_min)), int(round(b.y_min))
+        x0 = min(int(round(b.x_min)), w - 1)
+        y0 = min(int(round(b.y_min)), h - 1)
         x1 = min(int(round(b.x_max)) - 1, w - 1)
         y1 = min(int(round(b.y_max)) - 1, h - 1)
         image[y0, x0 : x1 + 1] = color
@@ -400,7 +405,7 @@ def _read_dets(path) -> list:
 
 
 def _image_paths(args) -> list[Path]:
-    if args.image:
+    if args.image is not None:
         p = Path(args.image)
         if not p.exists():
             raise InputError(f"image not found: {p}")
@@ -425,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="normalize images+annotations to 800x1000")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--keep-going", action="store_true")
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(fn=cmd_preprocess)
@@ -434,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("propose", help="dump ROIs for one image")
@@ -445,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_propose)
 
     p = sub.add_parser("detect", help="run detection, write detections CSV")
-    p.add_argument("--image", default=None)
-    p.add_argument("--images", default=None)
+    images = p.add_mutually_exclusive_group(required=True)
+    images.add_argument("--image")
+    images.add_argument("--images")
     p.add_argument("--weights", default="oracle")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)

@@ -10,7 +10,6 @@ errors so typos fail loudly.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 import typing
 from pathlib import Path
@@ -33,8 +32,6 @@ def _parse_float(text: str) -> float:
 
 def _parse(tp, text: str):
     """Convert ``text`` to a field's declared type ``tp``."""
-    if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return tp(text.lower())
     if tp is bool:
         if text.lower() not in _BOOLS:
             raise ValueError(f"not a boolean: {text!r}")
@@ -45,8 +42,6 @@ def _parse(tp, text: str):
 
 
 def _format(value) -> str:
-    if isinstance(value, enum.Enum):
-        return value.value
     if isinstance(value, tuple):
         return ",".join(repr(v) for v in value)
     return str(value).lower() if isinstance(value, bool) else repr(value)

@@ -7,13 +7,11 @@ stage stride.  What matters downstream is preserved -- stride, channel
 count, determinism, and non-trivial responses on the synthetic fastener
 shapes.
 
-Strides: stage 4 pools at 16 px/cell; stage 5 pools at 32 unless it is
-configured without down-sampling, in which case it keeps the stage-4 stride
-so the feature map size is unchanged.
+Strides: the features come from stage 5, which pools at 32 px/cell when it
+down-samples and otherwise keeps stage 4's 16 px/cell.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,20 +36,12 @@ NUM_CHANNELS = 7
 NUM_CLASSES = 5  # background + the four fastener categories
 
 
-class AttachStage(enum.Enum):
-    STAGE4 = "stage4"
-    STAGE5 = "stage5"
-
-
 @dataclass(frozen=True)
 class BackboneSpec:
-    attach_stage: AttachStage = AttachStage.STAGE5
     stage5_downsample: bool = False
 
     @property
     def stride(self) -> int:
-        if self.attach_stage is AttachStage.STAGE4:
-            return 16
         return 32 if self.stage5_downsample else 16
 
 

@@ -8,23 +8,12 @@ are clipped to the canvas; boxes cropped away entirely are dropped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evaluation import GroundTruthObject
 from .geometry import BBox, clip
+from .model import IMAGE_HEIGHT, IMAGE_WIDTH
 from .voc import Annotation
-
-TARGET_WIDTH = 800
-TARGET_HEIGHT = 1000
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    target_width: int = TARGET_WIDTH
-    target_height: int = TARGET_HEIGHT
-    pad_value: int = 0
 
 
 def resize_bilinear(
@@ -72,19 +61,17 @@ def resize_bilinear(
     return top
 
 
-def preprocess(
-    image: np.ndarray, ann: Annotation, config: PreprocessConfig = PreprocessConfig()
-) -> tuple[np.ndarray, Annotation]:
-    """Scale/crop/pad to the target canvas and transform the annotation.
+def preprocess(image: np.ndarray, ann: Annotation) -> tuple[np.ndarray, Annotation]:
+    """Scale/crop/pad to the 800x1000 canvas and transform the annotation.
 
-    Returns a uint8 image of exactly (target_height, target_width) and the
+    Returns a uint8 image of exactly (IMAGE_HEIGHT, IMAGE_WIDTH) and the
     transformed annotation.
     """
     image = np.asarray(image)
     in_h, in_w = image.shape[:2]
     if in_h < 1 or in_w < 1:
         raise ValueError("image must be at least 1x1")
-    th, tw = config.target_height, config.target_width
+    th, tw = IMAGE_HEIGHT, IMAGE_WIDTH
 
     s = th / in_h
     w1 = int(round(s * in_w))
@@ -93,7 +80,7 @@ def preprocess(
     if w1 < tw:
         pad_left = (tw - w1) // 2
         shape = (th, tw) + image.shape[2:]
-        canvas = np.full(shape, float(config.pad_value))
+        canvas = np.zeros(shape)
         canvas[:, pad_left : pad_left + w1] = resize_bilinear(image, th, w1)
         shift = float(pad_left)
     else:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .evaluation import CLASS_NAMES, GroundTruthObject
 from .geometry import BBox
+from .model import IMAGE_HEIGHT, IMAGE_WIDTH
 from .voc import Annotation
 
 GLYPH_SIZE = 32
@@ -60,8 +61,6 @@ GLYPH_AREAS = {k: int(m.sum()) for k, m in GLYPH_MASKS.items()}
 
 @dataclass(frozen=True)
 class SceneConfig:
-    width: int = 800
-    height: int = 1000
     max_objects: int = 6
     # glyphs stay inside the region the stride-16 feature map covers, with
     # a one-cell margin
@@ -78,7 +77,7 @@ class SceneConfig:
 def synthesize_scene(seed: int, config: SceneConfig = SceneConfig()) -> tuple[np.ndarray, Annotation]:
     """Render one deterministic scene; returns (uint8 image, annotation)."""
     rng = np.random.default_rng(seed)
-    w, h = config.width, config.height
+    w, h = IMAGE_WIDTH, IMAGE_HEIGHT
     bands = dict(BRIGHTNESS_BANDS)
     if config.bands:
         bands.update(config.bands)

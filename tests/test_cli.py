@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import raildet
-from raildet.cli import build_parser, main
+from raildet.cli import RENDER_COLORS, build_parser, main
 from raildet.dataio import read_detections_csv, read_split_manifest
 from raildet.evaluation import Detection, EvalConfig
 from raildet.geometry import BBox
@@ -20,10 +20,11 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_process(*argv):
-    """Run the CLI in a fresh interpreter: (exit code, stderr)."""
+def run_process(*argv, env=None):
+    """Run the CLI in a fresh interpreter, with ``env`` added to the
+    environment: (exit code, stderr)."""
     src = str(Path(raildet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, "-m", "raildet.cli", *argv],
                           capture_output=True, text=True, env=env)
@@ -460,6 +461,52 @@ class TestCliFaults:
         assert rc == 2
         assert_one_line_error(err, "config error", "--count")
         assert not out.exists()
+
+    # a box whose min edge rounds onto the last column or row, as detect can
+    # emit after clipping, is outlined on that column or row
+    @pytest.mark.parametrize("box, edge", [
+        ((799.6, 10, 800, 20), np.s_[10:20, 799]),
+        ((10, 999.7, 20, 1000), np.s_[999, 10:20]),
+    ])
+    def test_render_box_on_the_border(self, scene_dir, tmp_path, box, edge):
+        img = next(iter(sorted(scene_dir.glob("*.ppm"))))
+        dets = tmp_path / "border.csv"
+        write_detections_csv(dets, [(img.name, Detection("V", BBox(*box), 0.9))])
+        out = tmp_path / "o.ppm"
+        rc, err = run_process("render", "--image", str(img), "--dets", str(dets),
+                              "--out", str(out))
+        assert rc == 0, err
+        assert np.all(read_ppm(out)[edge] == RENDER_COLORS["V"])
+
+    @pytest.mark.parametrize("sources", [[], ["--image", "x.ppm", "--images", "."]])
+    def test_detect_takes_exactly_one_image_source(self, tmp_path, sources):
+        rc, err = run_process("detect", *sources, "--out", str(tmp_path / "d.csv"))
+        assert rc == 2
+        assert "Traceback" not in err
+        assert "--image" in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess"])
+    def test_config_is_not_an_option_of(self, scene_dir, tmp_path, command):
+        out = tmp_path / "out"
+        argv = ["--count", "1"] if command == "synth" else ["--in", str(scene_dir)]
+        rc, err = run_process(command, *argv, "--out", str(out), "--config", "x")
+        assert rc == 2
+        assert "Traceback" not in err
+        assert "--config" in err.strip().splitlines()[-1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
+    def test_bad_thread_count_is_config_error(self, scene_dir, tmp_path, threads):
+        out = tmp_path / "out"
+        rc, err = run_process("preprocess", "--in", str(scene_dir), "--out", str(out),
+                              env={"DETPIPE_THREADS": threads})
+        assert rc == 2
+        assert_one_line_error(err, "config error", "DETPIPE_THREADS", repr(threads))
+        assert not out.exists()
+
+    def test_one_thread_is_legal(self, scene_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("DETPIPE_THREADS", "1")
+        assert run("preprocess", "--in", str(scene_dir), "--out", str(tmp_path / "o")) == 0
 
 
 class TestNegativeSeeds:

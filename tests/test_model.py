@@ -16,7 +16,6 @@ from raildet.model import (
     INTENSITY_THRESHOLDS,
     NUM_CHANNELS,
     NUM_CLASSES,
-    AttachStage,
     BackboneSpec,
     BnParams,
     DetectHead,
@@ -37,9 +36,8 @@ from raildet.model import (
 
 class TestBackboneSpec:
     def test_strides(self):
-        assert BackboneSpec(attach_stage=AttachStage.STAGE4).stride == 16
-        assert BackboneSpec(attach_stage=AttachStage.STAGE5, stage5_downsample=True).stride == 32
-        assert BackboneSpec(attach_stage=AttachStage.STAGE5, stage5_downsample=False).stride == 16
+        assert BackboneSpec(stage5_downsample=True).stride == 32
+        assert BackboneSpec(stage5_downsample=False).stride == 16
 
 
 def reference_features(image, spec):
@@ -94,23 +92,13 @@ class TestExtractFeatures:
         assert np.allclose(fm.data[CHAN_OCC[0]], 1.0)  # 120 > 100
         assert np.allclose(fm.data[CHAN_OCC[1]], 0.0)  # 120 <= 160
 
-    def test_stage4_shape(self):
-        fm = extract_features(np.zeros((1000, 800)), BackboneSpec(attach_stage=AttachStage.STAGE4))
+    def test_stage5_no_downsample_matches_stage4(self):
+        fm = extract_features(np.zeros((1000, 800)), BackboneSpec(stage5_downsample=False))
         assert (fm.height, fm.width) == (62, 50)
         assert fm.stride == 16
 
-    def test_stage5_no_downsample_matches_stage4(self):
-        fm = extract_features(
-            np.zeros((1000, 800)),
-            BackboneSpec(attach_stage=AttachStage.STAGE5, stage5_downsample=False),
-        )
-        assert (fm.height, fm.width) == (62, 50)
-
     def test_stage5_downsample_halves(self):
-        fm = extract_features(
-            np.zeros((1000, 800)),
-            BackboneSpec(attach_stage=AttachStage.STAGE5, stage5_downsample=True),
-        )
+        fm = extract_features(np.zeros((1000, 800)), BackboneSpec(stage5_downsample=True))
         assert (fm.height, fm.width) == (31, 25)
         assert fm.stride == 32
 
@@ -445,15 +433,11 @@ def einsum_features(image, spec):
     return chans
 
 
-ALL_SPECS = [
-    BackboneSpec(attach_stage=AttachStage.STAGE4),
-    BackboneSpec(stage5_downsample=False),
-    BackboneSpec(stage5_downsample=True),
-]
+ALL_SPECS = [BackboneSpec(stage5_downsample=False), BackboneSpec(stage5_downsample=True)]
 
 
 class TestIntegerRowMoment:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=["stage4", "stage5", "stage5-down"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=["stage5", "stage5-down"])
     def test_equals_einsum_reference(self, spec):
         rng = np.random.default_rng(31)
         images = [synthesize_scene(seed)[0] for seed in (0, 3, 11)]
