@@ -188,8 +188,9 @@ def cmd_synth(args) -> int:
 def cmd_propose(args) -> int:
     config = _load_pipeline_config(args)
     weights = _load_model(args, config)
-    image = _read_gray(args.image)
-    name = Path(args.image).name
+    (path,) = _image_paths(args)
+    image = _read_gray(path)
+    name = path.name
     try:
         rois = propose_rois(image, weights, config)
     except PipelineError as e:
@@ -389,7 +390,7 @@ def cmd_show_config(args) -> int:
 
 def _read_gray(path) -> np.ndarray:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise InputError(f"image not found: {p}")
     try:
         return read_ppm(p, grayscale=True)
@@ -405,10 +406,11 @@ def _read_dets(path) -> list:
 
 
 def _image_paths(args) -> list[Path]:
+    """The images named by ``--image`` (propose, detect) or ``--images``."""
     if args.image is not None:
         p = Path(args.image)
-        if not p.exists():
-            raise InputError(f"image not found: {p}")
+        if not p.is_file():  # Path("") is the working directory
+            raise InputError(f"--image {args.image!r}: no such image file")
         return [p]
     d = Path(args.images)
     if not d.is_dir():

@@ -158,13 +158,21 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    union = area_array(a)[:, None] + area_array(b)[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    # the float expression of iou_pairs, with the temporaries reused in place
+    inter = np.minimum(a[:, None, 2], b[None, :, 2])
+    low = np.maximum(a[:, None, 0], b[None, :, 0])
+    inter -= low
+    iy = np.minimum(a[:, None, 3], b[None, :, 3])
+    iy -= np.maximum(a[:, None, 1], b[None, :, 1], out=low)
+    np.clip(inter, 0.0, None, out=inter)
+    inter *= np.clip(iy, 0.0, None, out=iy)
+    union = np.add(area_array(a)[:, None], area_array(b)[None, :], out=iy)
+    union -= inter
+    positive = union > 0
+    np.divide(inter, union, out=inter, where=positive)
+    if not positive.all():
+        inter[~positive] = 0.0
+    return inter
 
 
 def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,28 +209,58 @@ def encode_array(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     )
 
 
-def decode_array(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`decode` for (N, 4) anchors and (N, 4) deltas."""
+def decode_array(
+    anchors: np.ndarray,
+    deltas: np.ndarray,
+    out: np.ndarray | None = None,
+    max_log_scale: float = math.inf,
+) -> np.ndarray:
+    """Vectorized :func:`decode` for (N, 4) anchors and (N, 4) deltas.
+
+    tw/th are first clamped to ``max_log_scale`` (network output passes
+    ``BBOX_XFORM_CLIP``); the boxes go into ``out`` when it is given.  Each
+    coordinate is :func:`decode`'s float expression (with ``np.exp`` in
+    place of ``math.exp``), computed one column at a time: the result does
+    not depend on how the rows are chunked, and no temporary is wider than
+    one column.
+    """
     anchors = np.asarray(anchors, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
     wa = anchors[:, 2] - anchors[:, 0]
     ha = anchors[:, 3] - anchors[:, 1]
     if np.any(wa <= 0) or np.any(ha <= 0):
         raise ValueError("degenerate anchor")
-    if not np.all(np.isfinite(deltas)):
+    if out is None:
+        out = np.empty((anchors.shape[0], 4))
+    # the clamped log-scales go where the max corners will be
+    for k in (2, 3):
+        np.minimum(deltas[:, k], max_log_scale, out=out[:, k])
+    if not all(np.isfinite(c).all() for c in (deltas[:, 0], deltas[:, 1], out[:, 2], out[:, 3])):
         raise ValueError("non-finite delta")
-    cx = 0.5 * (anchors[:, 0] + anchors[:, 2]) + deltas[:, 0] * wa
-    cy = 0.5 * (anchors[:, 1] + anchors[:, 3]) + deltas[:, 1] * ha
-    w = wa * np.exp(deltas[:, 2])
-    h = ha * np.exp(deltas[:, 3])
-    return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=1)
+    for k, size in ((0, wa), (1, ha)):
+        half = out[:, k + 2]
+        np.exp(half, out=half)
+        half *= size
+        half *= 0.5
+        center = anchors[:, k] + anchors[:, k + 2]
+        center *= 0.5
+        size *= deltas[:, k]
+        center += size
+        np.subtract(center, half, out=out[:, k])
+        half += center
+    return out
 
 
-def clip_array(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
+def clip_array(
+    boxes: np.ndarray, width: float, height: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Clamp (N, 4) boxes to the [0, width] x [0, height] canvas, into
+    ``out`` when given (``out=boxes`` clips in place)."""
     if width <= 0 or height <= 0:
         raise ValueError("canvas dimensions must be positive")
     boxes = np.asarray(boxes, dtype=np.float64)
-    out = boxes.copy()
-    out[:, 0::2] = np.clip(out[:, 0::2], 0.0, width)
-    out[:, 1::2] = np.clip(out[:, 1::2], 0.0, height)
+    if out is None:
+        out = np.empty_like(boxes)
+    for k, limit in enumerate((width, height, width, height)):
+        np.clip(boxes[:, k], 0.0, limit, out=out[:, k])
     return out

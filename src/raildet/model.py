@@ -308,15 +308,15 @@ def roi_pool(fm: FeatureMap, roi: BBox, bins: int = 7) -> np.ndarray:
     return out.transpose(1, 2, 0).copy()
 
 
-def _range_max_table(data: np.ndarray) -> np.ndarray:
+def _range_max_table(data: np.ndarray, levels_h: int, levels_w: int) -> np.ndarray:
     """2-D sparse table of a (C, H, W) map, channel-last.
 
     ``table[a, b, i, j]`` is the maximum over rows ``i .. i + 2**a - 1`` and
     columns ``j .. j + 2**b - 1``; entries whose window runs off the map are
-    never filled.  Shape (floor(log2 H) + 1, floor(log2 W) + 1, H, W, C).
+    never filled.  Shape (levels_h, levels_w, H, W, C); a window must fit
+    the map, so at most floor(log2 H) + 1 and floor(log2 W) + 1 levels.
     """
     _, h, w = data.shape
-    levels_h, levels_w = h.bit_length(), w.bit_length()
     table = np.empty((levels_h, levels_w, h, w, data.shape[0]), dtype=data.dtype)
     table[0, 0] = data.transpose(1, 2, 0)
     for b in range(1, levels_w):
@@ -363,11 +363,14 @@ def roi_pool_batch(fm: FeatureMap, boxes: np.ndarray, bins: int = 7) -> np.ndarr
     lo, hi = _bin_bounds(origin, step, fm, bins)
 
     # a bin of length n is covered by two windows of length 2**floor(log2 n),
-    # one at each end; per axis: the table level and the two window starts
-    table = _range_max_table(fm.data)
-    _, levels_w, h, w, c = table.shape
+    # one at each end; per axis: the table level and the two window starts.
+    # The table holds only the levels the longest bin of each axis reads.
+    _, h, w = fm.data.shape
     floor_log2 = np.array([0] + [n.bit_length() - 1 for n in range(1, max(h, w) + 1)])
     level = floor_log2[hi - lo]
+    levels_h, levels_w = (level.max(axis=(0, 2), initial=0) + 1).tolist()
+    table = _range_max_table(fm.data, levels_h, levels_w)
+    c = table.shape[-1]
     last = hi - (1 << level)
     row_level, col_level = level[:, 0, :, None], level[:, 1, None, :]
     base = (row_level * levels_w + col_level) * h

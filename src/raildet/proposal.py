@@ -4,13 +4,15 @@ The ROI budget (``post_nms_top``) defaults to 300; running the pipeline in
 reduced mode with a budget of 50 trades a little recall for per-ROI work in
 the second stage.
 
-NMS walks the score-sorted boxes in fixed blocks: each block is first
-checked against every box already kept, then its survivors suppress each
-other greedily.  The kept set is exactly that of one-box-at-a-time greedy
-NMS, and no temporary is larger than block x block.
+NMS walks the score-sorted boxes in blocks: each block is first checked
+against every box already kept, then its survivors suppress each other
+greedily.  The kept set is exactly that of one-box-at-a-time greedy NMS, and
+no temporary is larger than block x block.  A block holds at most twice the
+boxes still to keep, so a small budget builds small IOU matrices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,9 @@ from .anchors import AnchorGrid
 from .geometry import BBOX_XFORM_CLIP, BBox, clip_array, decode_array, iou_matrix
 
 NMS_BLOCK = 256
-DECODE_CHUNK = 4096  # anchors decoded and clipped at a time
+NMS_MIN_BLOCK = 64  # smallest block once few boxes are left to keep
+DECODE_CHUNK = 4096  # anchors decoded at a time
+FIRST_RANKS = 512  # boxes ranked for the first NMS pass
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,7 @@ class ScoredBox:
     source_index: int
 
     def __post_init__(self):
-        if not np.isfinite(self.score) or not (0.0 <= self.score <= 1.0):
+        if not math.isfinite(self.score) or not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be finite and in [0, 1]: {self.score}")
 
 
@@ -72,32 +76,40 @@ def _greedy_keep(
 ) -> list[int]:
     """Greedy keep-set over boxes already sorted by priority.
 
-    Returns positions into ``sorted_boxes``.  Each block of ``NMS_BLOCK``
-    boxes first loses every box that an already kept box suppresses; a
-    greedy pass over the IOU matrix of the survivors decides the rest.  A
-    box is only ever suppressed by a kept box, and those are all in earlier
-    blocks or among the survivors, so the keep set equals that of the
-    one-box-at-a-time pass; ``iou_matrix`` computes the same float
-    expression per pair as ``iou`` and ``iou_pairs``, so it is bit-identical.
-    Early exit at ``max_keep`` is safe because the greedy kept-set is
-    prefix-stable.
+    Returns positions into ``sorted_boxes``.  Each block of up to
+    ``NMS_BLOCK`` boxes first loses every box that an already kept box
+    suppresses; a greedy pass over the IOU matrix of the survivors decides
+    the rest.  A box is only ever suppressed by a kept box, and those are
+    all in earlier blocks or among the survivors, so the keep set equals
+    that of the one-box-at-a-time pass whatever the block sizes;
+    ``iou_matrix`` computes the same float expression per pair as ``iou``
+    and ``iou_pairs``, so it is bit-identical.  Early exit at ``max_keep``
+    is safe because the greedy kept-set is prefix-stable.
     """
     n = sorted_boxes.shape[0]
     kept: list[int] = []
-    for start in range(0, n, NMS_BLOCK):
-        cand = np.arange(start, min(start + NMS_BLOCK, n))
+    start = 0
+    while start < n:
+        size = NMS_BLOCK
+        if max_keep is not None:
+            size = min(size, max(NMS_MIN_BLOCK, 2 * (max_keep - len(kept))))
+        cand = np.arange(start, min(start + size, n))
+        start += size
         for k0 in range(0, len(kept), NMS_BLOCK):
             ious = iou_matrix(sorted_boxes[kept[k0 : k0 + NMS_BLOCK]], sorted_boxes[cand])
             cand = cand[~(ious > iou_threshold).any(axis=0)]
         over = iou_matrix(sorted_boxes[cand], sorted_boxes[cand]) > iou_threshold
+        # only a box that overlaps a later candidate can suppress one
+        suppresses = np.triu(over, 1).any(axis=1).tolist()
         alive = np.ones(cand.size, dtype=bool)
-        for j in range(cand.size):
+        for j, c in enumerate(cand.tolist()):
             if not alive[j]:
                 continue
-            kept.append(int(cand[j]))
+            kept.append(c)
             if max_keep is not None and len(kept) >= max_keep:
                 return kept
-            alive[j + 1 :] &= ~over[j, j + 1 :]
+            if suppresses[j]:
+                alive[j + 1 :] &= ~over[j, j + 1 :]
     return kept
 
 
@@ -125,14 +137,14 @@ def propose(
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite objectness score")
 
-    # Clamp tw/th so that a huge predicted scale cannot overflow exp.  Decode
-    # and clip are per box, so chunks keep their temporaries small.
-    limit = np.array([np.inf, np.inf, BBOX_XFORM_CLIP, BBOX_XFORM_CLIP])
+    # tw/th are clamped so that a huge predicted scale cannot overflow exp.
+    # Decode is per box, so chunks keep its temporaries small.
     boxes = np.empty((n, 4))
     for start in range(0, n, DECODE_CHUNK):
         rows = slice(start, start + DECODE_CHUNK)
-        clamped = np.minimum(deltas[rows], limit)
-        boxes[rows] = clip_array(decode_array(grid.anchors[rows], clamped), image_w, image_h)
+        decode_array(grid.anchors[rows], deltas[rows], out=boxes[rows],
+                     max_log_scale=BBOX_XFORM_CLIP)
+    clip_array(boxes, image_w, image_h, out=boxes)
     widths = boxes[:, 2] - boxes[:, 0]
     heights = boxes[:, 3] - boxes[:, 1]
     keep = (widths >= config.min_box_size) & (heights >= config.min_box_size)
@@ -140,17 +152,30 @@ def propose(
     if idx.size == 0:
         return []
 
-    # Rank by score, ties by anchor index.  Only the best pre_nms_top need a
-    # full sort: partition first, keeping every box tied with the last one.
-    top, neg = config.pre_nms_top, -scores[idx]
+    # Rank by score, ties by anchor index.  Greedy NMS is prefix-stable, so
+    # it first runs over the best FIRST_RANKS boxes only, and over the full
+    # pre_nms_top ranking only when those run out before the budget is met.
+    neg = -scores[idx]
+    order = _rank(idx, neg, min(FIRST_RANKS, config.pre_nms_top))
+    kept = _greedy_keep(boxes[order], config.nms_iou_threshold, max_keep=config.post_nms_top)
+    if len(kept) < config.post_nms_top and order.size < min(idx.size, config.pre_nms_top):
+        order = _rank(idx, neg, config.pre_nms_top)
+        kept = _greedy_keep(boxes[order], config.nms_iou_threshold, max_keep=config.post_nms_top)
+
+    sel = order[kept]
+    return [
+        ScoredBox(box=BBox(*box), score=score, source_index=i)
+        for box, score, i in zip(boxes[sel].tolist(), scores[sel].tolist(), sel.tolist())
+    ]
+
+
+def _rank(idx: np.ndarray, neg: np.ndarray, top: int) -> np.ndarray:
+    """The ``top`` entries of ``idx`` by ascending ``neg``, ties by position.
+
+    Only the best ``top`` need a full sort: a partition comes first, keeping
+    every entry tied with the last one.
+    """
     if idx.size > top:
         near = np.nonzero(neg <= np.partition(neg, top - 1)[top - 1])[0]
         idx, neg = idx[near], neg[near]
-    idx = idx[np.argsort(neg, kind="stable")][:top]
-
-    kept = _greedy_keep(boxes[idx], config.nms_iou_threshold, max_keep=config.post_nms_top)
-    out = []
-    for pos in kept:
-        i = int(idx[pos])
-        out.append(ScoredBox(box=BBox(*boxes[i]), score=float(scores[i]), source_index=i))
-    return out
+    return idx[np.argsort(neg, kind="stable")][:top]

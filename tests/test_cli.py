@@ -508,6 +508,17 @@ class TestCliFaults:
         monkeypatch.setenv("DETPIPE_THREADS", "1")
         assert run("preprocess", "--in", str(scene_dir), "--out", str(tmp_path / "o")) == 0
 
+    @pytest.mark.parametrize("command", ["propose", "detect"])
+    @pytest.mark.parametrize("kind", ["empty", "directory"])
+    def test_image_that_is_not_a_file_is_input_error(self, tmp_path, command, kind):
+        image = "" if kind == "empty" else str(tmp_path)
+        out = tmp_path / "out.csv"
+        rc, err = run_process(command, "--image", image, "--weights", "random:0",
+                              "--out", str(out))
+        assert rc == 1
+        assert_one_line_error(err, "--image", repr(image))
+        assert not out.exists()
+
 
 class TestNegativeSeeds:
     """numpy's generators reject negative seeds; the CLI turns each into one

@@ -18,6 +18,7 @@ from raildet.geometry import (
     encode_array,
     iou,
     iou_matrix,
+    iou_pairs,
 )
 
 
@@ -188,3 +189,17 @@ class TestArrayHelpers:
         arr = clip_array(boxes_to_array(boxes), 800, 1000)
         for i, b in enumerate(boxes):
             assert tuple(arr[i]) == clip(b, 800, 1000).as_tuple()
+
+
+def test_iou_matrix_equals_iou_pairs_where_the_union_is_not_positive():
+    # zero-area, inverted and NaN boxes: every pair without a positive union
+    # reads 0 in both forms, and every other pair has the same bits
+    boxes = np.array([
+        [0.0, 0.0, 10.0, 10.0], [5.0, 5.0, 5.0, 5.0], [5.0, 5.0, 5.0, 5.0],
+        [8.0, 8.0, 2.0, 2.0], [np.nan, 0.0, 4.0, 4.0], [3.0, 3.0, 12.0, 9.0],
+    ])
+    got = iou_matrix(boxes, boxes)
+    n = len(boxes)
+    want = iou_pairs(np.repeat(boxes, n, axis=0), np.tile(boxes, (n, 1))).reshape(n, n)
+    assert got.tobytes() == want.tobytes()
+    assert not np.isnan(got).any()

@@ -279,3 +279,140 @@ class TestChunkedDecode:
         monkeypatch.setattr(proposal, "DECODE_CHUNK", 16)
         with pytest.raises(ValueError, match="non-finite delta"):
             propose(grid, scores, deltas, 80, 64)
+
+
+# ---------------------------------------------------------------------------
+# The lean decode, the ranking window and budget-sized NMS blocks
+# ---------------------------------------------------------------------------
+
+def reference_decode_clip(anchors, deltas, width, height):
+    """Clamp, decode and clip with one full-size temporary per step: the
+    float expressions ``decode_array`` and ``clip_array`` must reproduce."""
+    deltas = np.minimum(deltas, [np.inf, np.inf, BBOX_XFORM_CLIP, BBOX_XFORM_CLIP])
+    wa = anchors[:, 2] - anchors[:, 0]
+    ha = anchors[:, 3] - anchors[:, 1]
+    cx = 0.5 * (anchors[:, 0] + anchors[:, 2]) + deltas[:, 0] * wa
+    cy = 0.5 * (anchors[:, 1] + anchors[:, 3]) + deltas[:, 1] * ha
+    w = wa * np.exp(deltas[:, 2])
+    h = ha * np.exp(deltas[:, 3])
+    boxes = np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=1)
+    boxes[:, 0::2] = np.clip(boxes[:, 0::2], 0.0, width)
+    boxes[:, 1::2] = np.clip(boxes[:, 1::2], 0.0, height)
+    return boxes
+
+
+class TestLeanDecode:
+    def _inputs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(-100, 900, (n, 2))
+        anchors = np.concatenate([xy, xy + rng.uniform(8, 128, (n, 2))], axis=1)
+        deltas = rng.normal(0, 0.5, (n, 4))
+        deltas[::5, 2:] = rng.uniform(5, 60, (len(deltas[::5]), 2))  # past the clamp
+        deltas[::7, :2] = rng.choice([-90.0, 90.0], (len(deltas[::7]), 2))  # off the canvas
+        deltas[::3, 2:] = rng.uniform(-12, -4, (len(deltas[::3]), 2))  # below min_box_size
+        return anchors, deltas
+
+    @pytest.mark.parametrize("n", [1, 37, proposal.DECODE_CHUNK + 1, 2 * proposal.DECODE_CHUNK + 37])
+    def test_chunked_in_place_equals_reference(self, n):
+        anchors, deltas = self._inputs(n, n)
+        boxes = np.empty((n, 4))
+        for start in range(0, n, proposal.DECODE_CHUNK):
+            rows = slice(start, start + proposal.DECODE_CHUNK)
+            decode_array(anchors[rows], deltas[rows], out=boxes[rows],
+                         max_log_scale=BBOX_XFORM_CLIP)
+        clip_array(boxes, 800, 1000, out=boxes)
+        want = reference_decode_clip(anchors, deltas, 800, 1000)
+        assert np.array_equal(boxes, want)
+        assert (boxes[:, 2] - boxes[:, 0] < 1.0).any()  # some fall to the filter
+
+    def test_new_arrays_equal_reference(self):
+        anchors, deltas = self._inputs(500, 3)
+        clamped = np.minimum(deltas, [np.inf, np.inf, BBOX_XFORM_CLIP, BBOX_XFORM_CLIP])
+        got = clip_array(decode_array(anchors, clamped), 800, 1000)
+        assert np.array_equal(got, reference_decode_clip(anchors, deltas, 800, 1000))
+
+    @pytest.mark.parametrize("column, value, raises", [
+        (0, np.inf, True), (1, -np.inf, True), (2, np.nan, True), (3, -np.inf, True),
+        (2, np.inf, False),  # clamped to BBOX_XFORM_CLIP first
+    ])
+    def test_non_finite_clamped_delta_raises(self, column, value, raises):
+        anchors, deltas = self._inputs(50, 4)
+        deltas[40, column] = value
+        call = lambda: decode_array(anchors, deltas, max_log_scale=BBOX_XFORM_CLIP)  # noqa: E731
+        if raises:
+            with pytest.raises(ValueError, match="non-finite delta"):
+                call()
+        else:
+            assert np.isfinite(call()).all()
+
+    def test_degenerate_anchor_raises(self):
+        anchors, deltas = self._inputs(50, 5)
+        anchors[30, 3] = anchors[30, 1]
+        with pytest.raises(ValueError, match="degenerate anchor"):
+            decode_array(anchors, deltas, out=np.empty((50, 4)))
+
+
+def _full_grid_inputs(seed, levels=19, spread=0.5):
+    grid = tile(AnchorConfig(), 50, 62)
+    rng = np.random.default_rng(seed)
+    scores = rng.choice(np.linspace(0.05, 0.95, levels), len(grid))
+    deltas = rng.normal(0, spread, (len(grid), 4))
+    deltas[::9, 2:] = 40.0
+    return grid, scores, deltas
+
+
+class TestRankingWindow:
+    """``propose`` ranks FIRST_RANKS boxes first; it must equal the full
+    ranking of ``unchunked_propose`` whichever pass ends NMS."""
+
+    def test_oracle_like_score_tie(self):
+        grid = tile(AnchorConfig(), 50, 62)
+        rng = np.random.default_rng(20)
+        scores = np.full(len(grid), 0.25)
+        scores[rng.choice(len(grid), len(grid) - 27_873, replace=False)] = rng.uniform(0.5, 1, 27)
+        assert np.count_nonzero(scores == 0.25) == 27_873
+        deltas = rng.normal(0, 0.2, (len(grid), 4))
+        for config in (ProposalConfig(), ProposalConfig(post_nms_top=50, pre_nms_top=600)):
+            assert (propose(grid, scores, deltas, 800, 1000, config)
+                    == unchunked_propose(grid, scores, deltas, 800, 1000, config))
+
+    @pytest.mark.parametrize("pre", [1, 10, 100, proposal.FIRST_RANKS - 1])
+    def test_pre_nms_top_below_the_window(self, pre):
+        grid, scores, deltas = _full_grid_inputs(21, levels=3)
+        config = ProposalConfig(pre_nms_top=pre, post_nms_top=min(pre, 50))
+        assert (propose(grid, scores, deltas, 800, 1000, config)
+                == unchunked_propose(grid, scores, deltas, 800, 1000, config))
+
+    @pytest.mark.parametrize("budget", [1, 10, 50, 300])
+    def test_budgets(self, budget):
+        grid, scores, deltas = _full_grid_inputs(22)
+        config = ProposalConfig(post_nms_top=budget)
+        got = propose(grid, scores, deltas, 800, 1000, config)
+        assert got == unchunked_propose(grid, scores, deltas, 800, 1000, config)
+        assert len(got) == budget
+
+    @pytest.mark.parametrize("first", [1, 8, 64])
+    def test_second_pass_over_pre_nms_top(self, monkeypatch, first):
+        grid, scores, deltas = _full_grid_inputs(23, spread=0.05)
+        config = ProposalConfig(nms_iou_threshold=0.3, pre_nms_top=2000, post_nms_top=200)
+        want = unchunked_propose(grid, scores, deltas, 800, 1000, config)
+        calls = []
+
+        def counted(boxes, *args, **kwargs):
+            calls.append(len(boxes))
+            return _greedy_keep(boxes, *args, **kwargs)
+
+        monkeypatch.setattr(proposal, "FIRST_RANKS", first)
+        monkeypatch.setattr(proposal, "_greedy_keep", counted)
+        assert propose(grid, scores, deltas, 800, 1000, config) == want
+        assert calls == [first, config.pre_nms_top]  # the window ran out first
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 600])
+@pytest.mark.parametrize("max_keep", [1, 10, 50, 300])
+def test_budget_sized_blocks_match_brute_force(n, max_keep):
+    boxes = _block_edge_boxes(n, 2 * n + max_keep)
+    tied = [ScoredBox(box=b.box, score=0.5, source_index=b.source_index) for b in boxes]
+    arr = np.array([b.box.as_tuple() for b in boxes])
+    for thr in (0.3, 0.7):
+        assert _greedy_keep(arr, thr, max_keep=max_keep) == brute_force_nms(tied, thr)[:max_keep]

@@ -1,10 +1,11 @@
 """The array ROI pooling against the per-bin loop it replaced."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from raildet import pipeline
+from raildet import model, pipeline
 from raildet.geometry import BBox, boxes_to_array
 from raildet.model import FeatureMap, random_weights, roi_pool, roi_pool_batch
 from raildet.oracle import build_oracle_weights, oracle_pipeline_config
@@ -206,3 +207,58 @@ def test_batch_rejects_malformed_box_arrays(boxes):
     fm = FeatureMap(data=np.ones((2, 4, 3)), stride=16)
     with pytest.raises(ValueError):
         roi_pool_batch(fm, boxes, 7)
+
+
+# ---------------------------------------------------------------------------
+# the sparse table holds only the levels the longest bin reads
+# ---------------------------------------------------------------------------
+
+def _table_depths(monkeypatch):
+    depths = []
+    build = model._range_max_table
+
+    def recording(data, levels_h, levels_w):
+        depths.append((levels_h, levels_w))
+        return build(data, levels_h, levels_w)
+
+    monkeypatch.setattr(model, "_range_max_table", recording)
+    return depths
+
+
+def _one_cell_rois(fm, n, rng):
+    s = fm.stride
+    cells = rng.integers(0, [fm.width, fm.height], (n, 2))
+    return [BBox(float(x * s), float(y * s), float((x + 1) * s), float((y + 1) * s))
+            for x, y in cells]
+
+
+@pytest.mark.parametrize("bins", [1, 2, 7])
+def test_batch_of_one_cell_rois_reads_one_level(monkeypatch, bins):
+    rng = np.random.default_rng(bins)
+    fm = FeatureMap(data=rng.normal(size=(4, 62, 50)), stride=16)
+    depths = _table_depths(monkeypatch)
+    _assert_batch_matches_reference(fm, _one_cell_rois(fm, 30, rng), bins)
+    assert depths == [(1, 1)]
+
+
+@pytest.mark.parametrize("bins", [1, 7])
+def test_batch_mixing_one_cell_rois_and_the_whole_map(monkeypatch, bins):
+    rng = np.random.default_rng(10 + bins)
+    fm = FeatureMap(data=rng.normal(size=(4, 62, 50)), stride=16)
+    whole = BBox(0.0, 0.0, 50 * 16.0, 62 * 16.0)
+    rois = _one_cell_rois(fm, 10, rng) + [whole] + _one_cell_rois(fm, 10, rng)
+    depths = _table_depths(monkeypatch)
+    _assert_batch_matches_reference(fm, rois, bins)
+    # the whole map's widest bin, by roi_pool's bounds, sets the depth
+    def widest(n):
+        step = n / bins
+        return max(min(math.ceil((p + 1) * step), n) - math.floor(p * step) for p in range(bins))
+
+    assert depths == [(widest(62).bit_length(), widest(50).bit_length())]
+
+
+def test_empty_batch_builds_one_level(monkeypatch):
+    fm = FeatureMap(data=np.ones((7, 62, 50)), stride=16)
+    depths = _table_depths(monkeypatch)
+    assert roi_pool_batch(fm, np.zeros((0, 4)), 7).shape == (0, 7, 7, 7)
+    assert depths == [(1, 1)]
