@@ -1,6 +1,14 @@
 """Operator command line: preprocess, synth, propose, detect, eval, bench, render.
 
-Exit codes: 0 success, 1 input error, 2 configuration error.  Logs go to
+Exit codes: 0 success, 1 input error, 2 configuration error.  ``main`` alone
+maps a failure to its exit code and one stderr line: a ``ConfigError`` (a
+bad option, environment value or config file) exits 2; an input failure, one
+of ``INPUT_ERRORS`` (``ValueError``, which includes ``UnicodeDecodeError``,
+``OSError``, ``VocError`` and ``PipelineError``), exits 1.  Each reader
+names its file in its own error, so the commands catch nothing to add it;
+only ``detect`` and ``propose`` add the image's name to a stage failure.
+``bench --check`` and ``preprocess --keep-going`` return 1 as a result: a
+latency that is not monotone, or a count of failed images.  Logs go to
 stderr, data to files or stdout.  Every command that writes an output
 directory drops a run manifest next to its outputs; ``detect`` names its
 manifest after its CSV (``dets.csv`` -> ``dets.manifest.txt``).
@@ -20,12 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, dump_config, load_config, with_post_nms_top
-from .dataio import (
-    read_detections_csv,
-    split,
-    write_detections_csv,
-    write_split_manifest,
-)
+from .dataio import read_detections_csv, split, write_detections_csv, write_split_manifest
 from .evaluation import CLASS_NAMES, EvalConfig, evaluate
 from .model import NUM_CHANNELS, load_weights, random_weights, save_weights
 from .oracle import build_oracle_weights
@@ -33,11 +36,10 @@ from .pipeline import PipelineConfig, PipelineError, detect, propose_rois
 from .ppm import read_ppm, write_ppm
 from .preprocess import preprocess
 from .synth import synthesize_scene
-from .voc import VocError, parse_voc, write_voc
+from .voc import VocError, read_voc, write_voc
 
-
-class InputError(Exception):
-    pass
+# what a command's input can raise: each exits 1 (see the module docstring)
+INPUT_ERRORS = (ValueError, OSError, VocError, PipelineError)
 
 
 def _log(msg: str) -> None:
@@ -105,12 +107,7 @@ def _load_model(args, config: PipelineConfig):
             raise ConfigError(f"--weights {spec!r}: the seed must be an integer") from None
         return random_weights(_seed(seed, f"--weights {spec}"), k=config.anchors.k,
                               bins=config.roi_bins)
-    if not Path(spec).exists():
-        raise InputError(f"weights file not found: {spec}")
-    try:
-        weights = load_weights(spec)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    weights = load_weights(spec)
     width = config.roi_bins ** 2 * NUM_CHANNELS
     if weights.det.cls_w.shape[1] != width:
         raise ConfigError(
@@ -127,23 +124,16 @@ def _load_model(args, config: PipelineConfig):
 def cmd_preprocess(args) -> int:
     workers = _worker_count()
     in_dir = Path(args.in_dir)
+    images = _listing(in_dir, "*.ppm", "--in")
     out_dir = Path(args.out_dir)
-    if not in_dir.is_dir():
-        raise InputError(f"input directory not found: {in_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    images = sorted(in_dir.glob("*.ppm"))
 
     failures = []
 
     def one(img_path: Path):
         xml_path = img_path.with_suffix(".xml")
-        if not xml_path.exists():
-            raise InputError(f"missing annotation for {img_path.name}")
-        try:
-            ann = parse_voc(xml_path.read_bytes(), lenient=args.lenient)
-        except VocError as e:
-            raise InputError(f"{xml_path.name}: {e}")
-        image = _read_gray(img_path)
+        ann = read_voc(xml_path, lenient=args.lenient)
+        image = read_ppm(img_path, grayscale=True)
         out_img, out_ann = preprocess(image, ann)
         write_ppm(out_dir / img_path.name, out_img)
         (out_dir / xml_path.name).write_bytes(write_voc(out_ann))
@@ -155,7 +145,7 @@ def cmd_preprocess(args) -> int:
             try:
                 name, shape = fut.result()
                 _log(f"preprocess {name}: {shape[1]}x{shape[0]} -> 800x1000")
-            except InputError as e:
+            except INPUT_ERRORS as e:
                 if not args.keep_going:
                     raise
                 failures.append(path.name)
@@ -189,12 +179,13 @@ def cmd_propose(args) -> int:
     config = _load_pipeline_config(args)
     weights = _load_model(args, config)
     (path,) = _image_paths(args)
-    image = _read_gray(path)
+    image = read_ppm(path, grayscale=True)
     name = path.name
     try:
         rois = propose_rois(image, weights, config)
     except PipelineError as e:
-        raise InputError(f"{name}: {e}") from None
+        e.args = (f"{path}: {e}",)  # the stage cannot know the image
+        raise
     lines = ["image,class,score,xmin,ymin,xmax,ymax"]
     for r in rois:
         b = r.box
@@ -212,11 +203,12 @@ def cmd_detect(args) -> int:
     paths = _image_paths(args)
     rows = []
     for p in paths:
-        image = _read_gray(p)
+        image = read_ppm(p, grayscale=True)
         try:
             dets = detect(image, weights, config)
         except PipelineError as e:
-            raise InputError(f"{p.name}: {e}") from None
+            e.args = (f"{p}: {e}",)  # the stage cannot know the image
+            raise
         rows.extend((p.name, d) for d in dets)
         _log(f"detect {p.name}: {len(dets)} detections")
     write_detections_csv(args.out, rows)
@@ -235,10 +227,8 @@ def cmd_eval(args) -> int:
         PipelineConfig(score_threshold=args.score_threshold)
     except ValueError as e:
         raise ConfigError(f"--score-threshold {args.score_threshold}: {e}") from None
-    gt_dir = Path(args.gt)
-    if not gt_dir.is_dir():
-        raise InputError(f"ground-truth directory not found: {gt_dir}")
-    det_rows = _read_dets(args.dets)
+    xml_paths = _listing(args.gt, "*.xml", "--gt")
+    det_rows = read_detections_csv(args.dets)
 
     by_image: dict[str, list] = {}
     for image, det in det_rows:
@@ -246,16 +236,13 @@ def cmd_eval(args) -> int:
             by_image.setdefault(image, []).append(det)
 
     per_image = []
-    for xml_path in sorted(gt_dir.glob("*.xml")):
-        try:
-            ann = parse_voc(xml_path.read_bytes())
-        except VocError as e:
-            raise InputError(f"{xml_path.name}: {e}")
+    for xml_path in xml_paths:
+        ann = read_voc(xml_path)
         key = ann.image_filename or xml_path.with_suffix(".ppm").name
         per_image.append((by_image.pop(key, []), list(ann.objects)))
     for image, dets in by_image.items():
         if dets:
-            raise InputError(f"detections reference unknown image: {image}")
+            raise ValueError(f"{args.dets}: detections reference unknown image: {image}")
 
     rep = evaluate(per_image, eval_config)
     print(rep.to_text())
@@ -325,19 +312,13 @@ _FONT = {
 
 
 def cmd_render(args) -> int:
-    img_path = Path(args.image)
-    if not img_path.exists():
-        raise InputError(f"image not found: {img_path}")
-    try:
-        image = read_ppm(img_path)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    image = read_ppm(args.image)
     h, w = image.shape[:2]
-    rows = [d for name, d in _read_dets(args.dets) if name == img_path.name]
+    rows = [d for name, d in read_detections_csv(args.dets) if name == Path(args.image).name]
     for det in rows:
         b = det.box
         if b.x_min < 0 or b.y_min < 0 or b.x_max > w or b.y_max > h:
-            raise InputError(f"detection outside image bounds: {b.as_tuple()}")
+            raise ValueError(f"{args.dets}: detection outside image bounds: {b.as_tuple()}")
         color = RENDER_COLORS[det.class_name]
         x0 = min(int(round(b.x_min)), w - 1)
         y0 = min(int(round(b.y_min)), h - 1)
@@ -388,21 +369,12 @@ def cmd_show_config(args) -> int:
 # helpers and argument wiring
 # ---------------------------------------------------------------------------
 
-def _read_gray(path) -> np.ndarray:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"image not found: {p}")
-    try:
-        return read_ppm(p, grayscale=True)
-    except ValueError as e:
-        raise InputError(str(e)) from None
-
-
-def _read_dets(path) -> list:
-    try:
-        return read_detections_csv(path)
-    except (OSError, ValueError) as e:
-        raise InputError(f"cannot read detections {path}: {e}") from None
+def _listing(directory, pattern: str, flag: str) -> list[Path]:
+    """The files in ``directory`` that match ``pattern``, sorted."""
+    d = Path(directory)
+    if not d.is_dir():  # a glob of a missing directory is empty
+        raise NotADirectoryError(f"{flag} {str(directory)!r}: no such directory")
+    return sorted(d.glob(pattern))
 
 
 def _image_paths(args) -> list[Path]:
@@ -410,12 +382,9 @@ def _image_paths(args) -> list[Path]:
     if args.image is not None:
         p = Path(args.image)
         if not p.is_file():  # Path("") is the working directory
-            raise InputError(f"--image {args.image!r}: no such image file")
+            raise FileNotFoundError(f"--image {args.image!r}: no such image file")
         return [p]
-    d = Path(args.images)
-    if not d.is_dir():
-        raise InputError(f"image directory not found: {d}")
-    return sorted(d.glob("*.ppm"))
+    return _listing(args.images, "*.ppm", "--images")
 
 
 def _write_or_print(path, text: str) -> None:
@@ -506,7 +475,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         _log(f"config error: {e}")
         return 2
-    except (InputError, VocError, OSError) as e:
+    except INPUT_ERRORS as e:
         _log(f"error: {e}")
         return 1
 

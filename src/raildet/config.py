@@ -108,11 +108,12 @@ def parse_config(text: str) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
+    """:func:`parse_config` of the file at ``path``; every failure, reading
+    it included, is a :class:`ConfigError` that names the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    return parse_config(text)
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ConfigError) as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def dump_config(config: PipelineConfig) -> str:

@@ -66,7 +66,7 @@ DETECTIONS_HEADER = ["image", "class", "score", "xmin", "ymin", "xmax", "ymax"]
 
 def write_detections_csv(path, rows: Sequence[tuple[str, Detection]]) -> None:
     """One row per detection, 6-decimal fixed precision."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(DETECTIONS_HEADER)
         for image, det in rows:
@@ -85,24 +85,22 @@ def write_detections_csv(path, rows: Sequence[tuple[str, Detection]]) -> None:
 
 
 def read_detections_csv(path) -> list[tuple[str, Detection]]:
+    """Rows written by :func:`write_detections_csv`.  A bad header, a row of
+    the wrong length, an invalid detection or text that is not UTF-8 raise a
+    ``ValueError`` naming ``path`` and the line."""
     out = []
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header != DETECTIONS_HEADER:
-            raise ValueError(f"unexpected detections header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            image, cls, score, x0, y0, x1, y1 = row
-            out.append(
-                (
-                    image,
-                    Detection(
-                        class_name=cls,
-                        box=BBox(float(x0), float(y0), float(x1), float(y1)),
-                        score=float(score),
-                    ),
-                )
-            )
+        try:
+            header = next(reader, None)
+            if header != DETECTIONS_HEADER:
+                raise ValueError(f"unexpected detections header: {header}")
+            for row in reader:
+                if not row:
+                    continue
+                image, cls, score, x0, y0, x1, y1 = row
+                box = BBox(float(x0), float(y0), float(x1), float(y1))
+                out.append((image, Detection(class_name=cls, box=box, score=float(score))))
+        except (ValueError, csv.Error) as e:
+            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
     return out

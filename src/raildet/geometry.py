@@ -188,27 +188,6 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_array(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`encode` for (N, 4) anchor/target arrays."""
-    anchors = np.asarray(anchors, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    wa = anchors[:, 2] - anchors[:, 0]
-    ha = anchors[:, 3] - anchors[:, 1]
-    if np.any(wa <= 0) or np.any(ha <= 0):
-        raise ValueError("degenerate anchor")
-    wt = targets[:, 2] - targets[:, 0]
-    ht = targets[:, 3] - targets[:, 1]
-    if np.any(wt <= 0) or np.any(ht <= 0):
-        raise ValueError("degenerate target")
-    cxa = 0.5 * (anchors[:, 0] + anchors[:, 2])
-    cya = 0.5 * (anchors[:, 1] + anchors[:, 3])
-    cxt = 0.5 * (targets[:, 0] + targets[:, 2])
-    cyt = 0.5 * (targets[:, 1] + targets[:, 3])
-    return np.stack(
-        [(cxt - cxa) / wa, (cyt - cya) / ha, np.log(wt / wa), np.log(ht / ha)], axis=1
-    )
-
-
 def decode_array(
     anchors: np.ndarray,
     deltas: np.ndarray,

@@ -12,7 +12,6 @@ probabilities and deltas with the same result, and is what
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -179,11 +178,3 @@ def ohem_round(
         losses.append(roi_loss(probs, tcls, pred, tdelta, config, roi_index=i))
     return select_hard(losses, config), losses
 
-
-def write_roi_losses(path, losses: Sequence[RoiLoss]) -> None:
-    """Dump loss records as diagnostic CSV."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["roi_index", "cls_loss", "reg_loss", "total"])
-        for r in losses:
-            w.writerow([r.roi_index, f"{r.cls_loss:.6f}", f"{r.reg_loss:.6f}", f"{r.total:.6f}"])

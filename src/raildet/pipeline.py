@@ -25,6 +25,7 @@ from .geometry import (
 )
 from . import ohem
 from .model import (
+    IMAGE_HEIGHT,
     BackboneSpec,
     FeatureMap,
     ModelWeights,
@@ -40,6 +41,11 @@ from .model import (
 from .ohem import OhemConfig, RoiLoss, ohem_round  # noqa: F401
 from .proposal import ProposalConfig, ScoredBox, nms, propose
 from .voc import Annotation
+
+
+# the most feature cells a ROI can span: the map height at the finest
+# backbone stride; more bins than that only repeat cells
+MAX_ROI_BINS = IMAGE_HEIGHT // 16
 
 
 class PipelineError(Exception):
@@ -77,8 +83,8 @@ class PipelineConfig:
             raise ValueError(f"final_nms_iou must be in (0, 1), got {self.final_nms_iou}")
         if not (0.0 < self.roi_fg_iou < 1.0):
             raise ValueError(f"roi_fg_iou must be in (0, 1), got {self.roi_fg_iou}")
-        if self.roi_bins < 1:
-            raise ValueError(f"roi_bins must be at least 1, got {self.roi_bins}")
+        if not (1 <= self.roi_bins <= MAX_ROI_BINS):
+            raise ValueError(f"roi_bins must be in [1, {MAX_ROI_BINS}], got {self.roi_bins}")
         if self.anchors.stride != self.backbone.stride:
             raise ValueError(
                 f"anchor stride {self.anchors.stride} does not match backbone "

@@ -10,8 +10,6 @@ on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evaluation import CLASS_NAMES, GroundTruthObject
@@ -20,6 +18,15 @@ from .model import IMAGE_HEIGHT, IMAGE_WIDTH
 from .voc import Annotation
 
 GLYPH_SIZE = 32
+MAX_OBJECTS = 6
+# glyphs stay inside the region the stride-16 feature map covers, with a
+# one-cell margin
+MARGIN = 16
+BOTTOM_MARGIN = 48
+# dilating each bbox by this much must keep all pairs disjoint; 24 px
+# guarantees no 48x48 detection window spans two glyphs
+SEPARATION = 24
+NOISE_AMPLITUDE = 4.0
 
 # Per-class brightness bands (min, max), separated by the backbone's
 # threshold levels 160/190/220; background stays below 100.
@@ -59,50 +66,31 @@ GLYPH_MASKS = glyph_masks()
 GLYPH_AREAS = {k: int(m.sum()) for k, m in GLYPH_MASKS.items()}
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    max_objects: int = 6
-    # glyphs stay inside the region the stride-16 feature map covers, with
-    # a one-cell margin
-    margin: int = 16
-    bottom_margin: int = 48
-    # dilating each bbox by this much must keep all pairs disjoint; 24 px
-    # guarantees no 48x48 detection window spans two glyphs
-    separation: int = 24
-    noise_amplitude: float = 4.0
-    # brightness band override, e.g. to deliberately mis-render one class
-    bands: dict | None = None
-
-
-def synthesize_scene(seed: int, config: SceneConfig = SceneConfig()) -> tuple[np.ndarray, Annotation]:
+def synthesize_scene(seed: int) -> tuple[np.ndarray, Annotation]:
     """Render one deterministic scene; returns (uint8 image, annotation)."""
     rng = np.random.default_rng(seed)
     w, h = IMAGE_WIDTH, IMAGE_HEIGHT
-    bands = dict(BRIGHTNESS_BANDS)
-    if config.bands:
-        bands.update(config.bands)
+    img = _rail_background(rng, w, h)
 
-    img = _rail_background(rng, w, h, config.noise_amplitude)
-
-    n_objects = int(rng.integers(1, config.max_objects + 1))
+    n_objects = int(rng.integers(1, MAX_OBJECTS + 1))
     placed: list[tuple[int, int]] = []
     objects: list[GroundTruthObject] = []
     g = GLYPH_SIZE
     for _ in range(n_objects):
         for _attempt in range(500):
-            x0 = int(rng.integers(config.margin, w - g - config.margin + 1))
-            y0 = int(rng.integers(config.margin, h - g - config.bottom_margin + 1))
-            sep = g + 2 * config.separation
+            x0 = int(rng.integers(MARGIN, w - g - MARGIN + 1))
+            y0 = int(rng.integers(MARGIN, h - g - BOTTOM_MARGIN + 1))
+            sep = g + 2 * SEPARATION
             if all(abs(x0 - px) >= sep or abs(y0 - py) >= sep for px, py in placed):
                 break
         else:
             continue  # no room left; emit fewer objects
         placed.append((x0, y0))
         cls = CLASS_NAMES[int(rng.integers(len(CLASS_NAMES)))]
-        lo, hi = bands[cls]
-        base = rng.uniform(lo + config.noise_amplitude, hi - config.noise_amplitude)
+        lo, hi = BRIGHTNESS_BANDS[cls]
+        base = rng.uniform(lo + NOISE_AMPLITUDE, hi - NOISE_AMPLITUDE)
         mask = GLYPH_MASKS[cls]
-        noise = rng.uniform(-config.noise_amplitude, config.noise_amplitude, mask.shape)
+        noise = rng.uniform(-NOISE_AMPLITUDE, NOISE_AMPLITUDE, mask.shape)
         patch = img[y0 : y0 + g, x0 : x0 + g]
         patch[mask] = np.clip(base + noise, lo, hi)[mask]
         objects.append(
@@ -118,7 +106,7 @@ def synthesize_scene(seed: int, config: SceneConfig = SceneConfig()) -> tuple[np
     return np.clip(np.round(img), 0, 255).astype(np.uint8), ann
 
 
-def _rail_background(rng: np.random.Generator, w: int, h: int, noise: float) -> np.ndarray:
+def _rail_background(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
     """Dark rail-bed: ballast base, two vertical rails, periodic sleepers.
     Everything stays below the lowest occupancy threshold (100)."""
     img = np.full((h, w), 35.0)
@@ -129,6 +117,6 @@ def _rail_background(rng: np.random.Generator, w: int, h: int, noise: float) -> 
     sleeper_period = 140
     for y0 in range(20, h, sleeper_period):
         img[y0 : y0 + 34, :] = np.maximum(img[y0 : y0 + 34, :], 50.0)
-    img += rng.uniform(-noise, noise, (h, w))
+    img += rng.uniform(-NOISE_AMPLITUDE, NOISE_AMPLITUDE, (h, w))
     img += 6.0 * np.sin(ys / 37.0)[:, None]
     return np.clip(img, 0.0, 90.0)

@@ -7,9 +7,11 @@ error in strict mode and skipped with a warning in lenient mode.
 """
 from __future__ import annotations
 
+import math
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from pathlib import Path
 from xml.dom import minidom
 
 from .evaluation import CLASS_NAMES, GroundTruthObject
@@ -54,16 +56,19 @@ def _require(parent: ET.Element, name: str) -> ET.Element:
 def _number(parent: ET.Element, name: str) -> float:
     el = _require(parent, name)
     try:
-        return float(el.text)
+        x = float(el.text)
     except (TypeError, ValueError):
         raise VocSchemaError(f"element {name} must contain a number, got {el.text!r}")
+    if not math.isfinite(x):
+        raise VocSchemaError(f"element {name} must contain a finite number, got {el.text!r}")
+    return x
 
 
 def parse_voc(xml_bytes: bytes, lenient: bool = False) -> Annotation:
     """Parse one VOC annotation file.
 
-    Coordinates are read as reals.  ``lenient=True`` downgrades unknown
-    class names to a warning and skips those objects.
+    Sizes and coordinates are read as finite reals.  ``lenient=True``
+    downgrades unknown class names to a warning and skips those objects.
     """
     try:
         root = ET.fromstring(xml_bytes)
@@ -106,6 +111,16 @@ def parse_voc(xml_bytes: bytes, lenient: bool = False) -> Annotation:
         image_height=height,
         objects=tuple(objects),
     )
+
+
+def read_voc(path, lenient: bool = False) -> Annotation:
+    """:func:`parse_voc` of the file at ``path``; a :class:`VocError` keeps
+    its type and names the file."""
+    try:
+        return parse_voc(Path(path).read_bytes(), lenient)
+    except VocError as e:
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 def _num_text(v: float) -> str:

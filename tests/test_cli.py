@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,41 @@ class TestBadInput:
         assert not (out / "truncated.ppm").exists()
         assert "truncated.ppm: FAILED" in capsys.readouterr().err
 
+    @staticmethod
+    def _nan_xmin_scenes(scene_dir, dest):
+        """scene_000100 with its first xmin set to nan, and a good scene_000101."""
+        dest.mkdir()
+        for name in ("scene_000100", "scene_000101"):
+            for ext in (".ppm", ".xml"):
+                (dest / f"{name}{ext}").write_bytes((scene_dir / f"{name}{ext}").read_bytes())
+        xml = dest / "scene_000100.xml"
+        xml.write_bytes(re.sub(rb"<xmin>[^<]*<", b"<xmin>nan<", xml.read_bytes(), count=1))
+        return dest
+
+    def test_eval_nan_coordinate_exit_1(self, scene_dir, tmp_path):
+        gt = self._nan_xmin_scenes(scene_dir, tmp_path / "gt")
+        dets = tmp_path / "none.csv"
+        write_detections_csv(dets, [])
+        rc, err = run_process("eval", "--dets", str(dets), "--gt", str(gt))
+        assert rc == 1
+        assert_one_line_error(err, "scene_000100.xml", "xmin", "finite")
+
+    @pytest.mark.parametrize("keep_going", [[], ["--keep-going"]])
+    def test_preprocess_nan_coordinate_exit_1(self, scene_dir, tmp_path, keep_going):
+        src = self._nan_xmin_scenes(scene_dir, tmp_path / "src")
+        out = tmp_path / "o"
+        rc, err = run_process("preprocess", "--in", str(src), "--out", str(out), *keep_going)
+        assert rc == 1
+        assert "Traceback" not in err
+        named = [ln for ln in err.splitlines() if ".xml" in ln]
+        assert len(named) == 1
+        assert "scene_000100.xml" in named[0] and "finite" in named[0]
+        if keep_going:
+            assert "FAILED" in named[0]
+            assert (out / "scene_000101.ppm").exists()
+        else:
+            assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("iou", ["1.5", "0", "-0.2"])
     def test_eval_iou_out_of_range_is_config_error(self, scene_dir, iou):
         rc, err = run_process("eval", "--dets", str(scene_dir / "missing.csv"),
@@ -244,6 +280,13 @@ class TestConfigHandling:
     def test_show_config(self, capsys):
         assert run("show-config") == 0
         assert "proposal.post_nms_top=300" in capsys.readouterr().out
+
+    def test_roi_bins_beyond_the_feature_map_is_config_error(self, tmp_path):
+        cfg = tmp_path / "bins.cfg"
+        cfg.write_text("pipeline.roi_bins=100000\n")
+        rc, err = run_process("show-config", "--config", str(cfg))
+        assert rc == 2
+        assert_one_line_error(err, "config error", "bins.cfg", "roi_bins", "62", "100000")
 
     def test_non_finite_scale_is_one_line_config_error(self, scene_dir, tmp_path):
         cfg = tmp_path / "inf.cfg"

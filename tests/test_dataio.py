@@ -146,6 +146,26 @@ class TestDetectionsCsv:
         with pytest.raises(ValueError):
             read_detections_csv(path)
 
+    @pytest.mark.parametrize("text, where", [
+        ("image,label,score\n", "line 1"),
+        ("image,class,score,xmin,ymin,xmax,ymax\na.ppm,V,0.5,1,2\n", "line 2"),
+        ("image,class,score,xmin,ymin,xmax,ymax\na.ppm,V,nan,1,2,3,4\n", "line 2"),
+        ("image,class,score,xmin,ymin,xmax,ymax\na.ppm,V,0.5,1,2,3,4\na.ppm,Q,0.5,1,2,3,4\n",
+         "line 3"),
+    ])
+    def test_errors_name_the_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.csv: {where}: "):
+            read_detections_csv(path)
+
+    def test_non_utf8_is_value_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("image,class,score,xmin,ymin,xmax,ymax\ncaf\xe9.ppm,V,0.5,1,2,3,4\n"
+                         .encode("latin-1"))
+        with pytest.raises(ValueError, match="latin1.csv: line"):
+            read_detections_csv(path)
+
     def test_empty_file_ok(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_detections_csv(path, [])

@@ -15,7 +15,6 @@ from raildet.ohem import (
     roi_losses,
     select_hard,
     smooth_l1,
-    write_roi_losses,
 )
 
 ZERO = BoxDelta(0, 0, 0, 0)
@@ -96,9 +95,13 @@ class TestSelectHard:
         out = select_hard(make_losses([1.0, 1.0, 1.0]), OhemConfig(batch_size=2))
         assert out == [0, 1]
 
-    @given(st.lists(st.floats(0, 100), min_size=1, max_size=40),
-           st.floats(0.001, 1000))
-    def test_scaling_invariance(self, values, scale):
+    # scaling by a power of two is exact while every product stays normal,
+    # so it keeps the order and the ties of the losses; any other scale can
+    # round two losses onto one value or underflow them to 0
+    @given(st.lists(st.just(0.0) | st.floats(1e-300, 100), min_size=1, max_size=40),
+           st.integers(-10, 10))
+    def test_scaling_invariance(self, values, exponent):
+        scale = 2.0 ** exponent
         a = select_hard(make_losses(values), OhemConfig(batch_size=8))
         b = select_hard(make_losses([v * scale for v in values]), OhemConfig(batch_size=8))
         assert a == b
@@ -147,15 +150,6 @@ class TestOhemRound:
         selected, losses = ohem_round([7, 8], forward, [(0, None), (0, None)])
         assert calls == [7, 8]
         assert len(losses) == 2
-
-
-def test_write_roi_losses(tmp_path):
-    path = tmp_path / "losses.csv"
-    write_roi_losses(path, make_losses([0.5, 1.25]))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "roi_index,cls_loss,reg_loss,total"
-    assert lines[1].startswith("0,0.500000")
-    assert len(lines) == 3
 
 
 class TestRoiLosses:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from raildet import pipeline
-from raildet.config import ConfigError, dump_config, parse_config, with_post_nms_top
+from raildet.config import (
+    ConfigError,
+    dump_config,
+    load_config,
+    parse_config,
+    with_post_nms_top,
+)
 from raildet.evaluation import CLASS_NAMES, EvalConfig, evaluate
 from raildet.geometry import BoxDelta, boxes_to_array, encode, iou_matrix
 from raildet.model import detect_forward, random_weights, roi_pool
@@ -72,6 +78,12 @@ class TestDetect:
     def test_roi_bins_must_be_positive(self):
         with pytest.raises(ValueError):
             dataclasses.replace(oracle_pipeline_config(), roi_bins=0)
+
+    def test_roi_bins_at_most_the_feature_map_height(self):
+        # 1000 // 16 = 62 cells: the most a ROI can span at the finest stride
+        assert PipelineConfig(roi_bins=62).roi_bins == pipeline.MAX_ROI_BINS == 62
+        with pytest.raises(ValueError, match=r"\[1, 62\]"):
+            PipelineConfig(roi_bins=63)
 
     def test_huge_predicted_scale_is_clamped(self, oracle):
         config, weights = oracle
@@ -302,6 +314,16 @@ class TestConfigFile:
         assert cfg.anchors.stride == cfg.backbone.stride == 32
         with pytest.raises(ConfigError, match="stride"):
             parse_config("backbone.stage5_downsample=true\nanchors.stride=16")
+
+    def test_load_config_names_the_file_on_every_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for text in ("proposal.post_nms_topp=50\n", "pipeline.roi_bins=x\n",
+                     "pipeline.roi_bins=0\n", "no equals sign\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=r"^.*run\.cfg: "):
+                load_config(path)
+        with pytest.raises(ConfigError, match="missing.cfg"):
+            load_config(tmp_path / "missing.cfg")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ConfigError, match=r"proposal\.post_nms_top.* 1 and 3"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from raildet.voc import (
     VocSchemaError,
     VocVocabularyError,
     parse_voc,
+    read_voc,
     write_voc,
 )
 
@@ -63,6 +66,26 @@ def test_non_numeric_coordinate():
     xml = MINIMAL.replace(b"<xmin>100</xmin>", b"<xmin>left</xmin>")
     with pytest.raises(VocSchemaError):
         parse_voc(xml)
+
+
+@pytest.mark.parametrize("text", [b"nan", b"inf", b"-inf", b"1e999"])
+@pytest.mark.parametrize("element", [b"xmin", b"ymax", b"width"])
+def test_non_finite_number_is_schema_error(element, text):
+    xml = re.sub(b"<%s>[^<]*<" % element, b"<%s>%s<" % (element, text), MINIMAL)
+    with pytest.raises(VocSchemaError, match="finite"):
+        parse_voc(xml)
+
+
+def test_read_voc_names_the_file_and_keeps_the_error_type(tmp_path):
+    path = tmp_path / "a.xml"
+    path.write_bytes(MINIMAL)
+    assert read_voc(path) == parse_voc(MINIMAL)
+    path.write_bytes(MINIMAL[:-15])
+    with pytest.raises(VocParseError, match=r"a\.xml: .*byte offset") as e:
+        read_voc(path)
+    assert e.value.byte_offset >= 0
+    with pytest.raises(FileNotFoundError, match="b.xml"):
+        read_voc(tmp_path / "b.xml")
 
 
 def test_inverted_box_is_schema_error():
