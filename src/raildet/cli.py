@@ -139,7 +139,9 @@ def cmd_preprocess(args) -> int:
         (out_dir / xml_path.name).write_bytes(write_voc(out_ann))
         return img_path.name, image.shape
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # the first failure without --keep-going cancels the images still queued
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         futures = [(p, pool.submit(one, p)) for p in images]
         for path, fut in futures:
             try:
@@ -150,6 +152,8 @@ def cmd_preprocess(args) -> int:
                     raise
                 failures.append(path.name)
                 _log(f"preprocess {path.name}: FAILED ({e})")
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     _manifest(args, "preprocess", str(in_dir), str(out_dir)).write(out_dir / "manifest.txt")
     _log(f"{len(images) - len(failures)} images processed")

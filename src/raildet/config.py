@@ -16,8 +16,6 @@ from pathlib import Path
 
 from .pipeline import PipelineConfig
 
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
 
 class ConfigError(Exception):
     pass
@@ -32,10 +30,6 @@ def _parse_float(text: str) -> float:
 
 def _parse(tp, text: str):
     """Convert ``text`` to a field's declared type ``tp``."""
-    if tp is bool:
-        if text.lower() not in _BOOLS:
-            raise ValueError(f"not a boolean: {text!r}")
-        return _BOOLS[text.lower()]
     if typing.get_origin(tp) is tuple:
         return tuple(_parse_float(s) for s in text.split(","))
     return _parse_float(text) if tp is float else tp(text)
@@ -44,7 +38,7 @@ def _parse(tp, text: str):
 def _format(value) -> str:
     if isinstance(value, tuple):
         return ",".join(repr(v) for v in value)
-    return str(value).lower() if isinstance(value, bool) else repr(value)
+    return repr(value)
 
 
 def _fields(cls) -> list[tuple[dataclasses.Field, object]]:
@@ -92,16 +86,11 @@ def parse_config(text: str) -> PipelineConfig:
     if values:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(values))}")
 
-    # Sections are built in field order; a section field may carry
-    # ``metadata["defaults_from"]``, which derives some of its defaults from
-    # the sections built before it.
     kwargs = given.get(None, {})
     try:
         for f, tp in _fields(PipelineConfig):
             if dataclasses.is_dataclass(tp):
-                derive = f.metadata.get("defaults_from")
-                defaults = derive(kwargs) if derive else {}
-                kwargs[f.name] = tp(**{**defaults, **given.get(f.name, {})})
+                kwargs[f.name] = tp(**given.get(f.name, {}))
         return PipelineConfig(**kwargs)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from None

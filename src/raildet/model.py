@@ -7,8 +7,8 @@ stage stride.  What matters downstream is preserved -- stride, channel
 count, determinism, and non-trivial responses on the synthetic fastener
 shapes.
 
-Strides: the features come from stage 5, which pools at 32 px/cell when it
-down-samples and otherwise keeps stage 4's 16 px/cell.
+Strides: ``BACKBONE_STRIDES`` are stage 4's 16 px/cell and stage 5's 32 px/cell
+with down-sampling; the pipeline's ``anchors.stride`` picks one.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .evaluation import CLASS_NAMES
 from .geometry import BBox
 
 IMAGE_WIDTH = 800
@@ -33,16 +34,10 @@ CHAN_XMOM = 5
 CHAN_YMOM = 6
 NUM_CHANNELS = 7
 
-NUM_CLASSES = 5  # background + the four fastener categories
+NUM_CLASSES = 1 + len(CLASS_NAMES)  # background + the fastener categories
 
-
-@dataclass(frozen=True)
-class BackboneSpec:
-    stage5_downsample: bool = False
-
-    @property
-    def stride(self) -> int:
-        return 32 if self.stage5_downsample else 16
+BACKBONE_STRIDES = (16, 32)  # stage 4; stage 5 with down-sampling
+RPN_DIM = 256  # intermediate conv width of generated RPN heads
 
 
 @dataclass(frozen=True)
@@ -73,14 +68,17 @@ class FeatureMap:
         return self.data.shape[2]
 
 
-def extract_features(image: np.ndarray, spec: BackboneSpec = BackboneSpec()) -> FeatureMap:
-    """Run the fixed filter bank and average-pool to the stage stride.
+def extract_features(image: np.ndarray, stride: int) -> FeatureMap:
+    """Run the fixed filter bank and average-pool to ``stride`` px/cell, one
+    of ``BACKBONE_STRIDES``.
 
     ``image`` is a (1000, 800) grayscale array; anything else is rejected
     because the pipeline assumes preprocessed input.  A uint8 image stays
     uint8 (its cell sums are exact integers); any other dtype is converted
     to float64.  Both give the same bits for the same pixel values.
     """
+    if stride not in BACKBONE_STRIDES:
+        raise ValueError(f"backbone stride must be one of {BACKBONE_STRIDES}, got {stride}")
     image = np.asarray(image)
     if image.dtype != np.uint8:
         image = image.astype(np.float64, copy=False)
@@ -88,7 +86,7 @@ def extract_features(image: np.ndarray, spec: BackboneSpec = BackboneSpec()) -> 
         raise ValueError(
             f"backbone expects preprocessed 800x1000 input, got {image.shape[::-1]}"
         )
-    s = spec.stride
+    s = stride
     h_cells = IMAGE_HEIGHT // s
     w_cells = IMAGE_WIDTH // s
     cropped = image[: h_cells * s, : w_cells * s]
@@ -400,7 +398,7 @@ class DetectHead:
 
     def __post_init__(self):
         if self.cls_w.shape[0] != NUM_CLASSES or self.cls_b.shape != (NUM_CLASSES,):
-            raise ValueError("classification head must cover 5 classes")
+            raise ValueError(f"classification head must cover {NUM_CLASSES} classes")
         if self.reg_w.shape[0] != 4 * (NUM_CLASSES - 1) or self.reg_b.shape != (
             4 * (NUM_CLASSES - 1),
         ):
@@ -557,6 +555,7 @@ def load_weights(path) -> ModelWeights:
     file and, where there is one, the tensor.
     """
     path = Path(path)
+    data = path.read_bytes()
     meta = path.with_suffix(path.suffix + ".meta")
     try:
         lines = meta.read_text().splitlines()
@@ -582,7 +581,6 @@ def load_weights(path) -> ModelWeights:
         if name not in shapes:
             raise ValueError(f"{meta}: tensor {name} missing")
 
-    data = path.read_bytes()
     raw = np.frombuffer(data, dtype="<f4", count=len(data) // 4)
     fields: dict[str, dict[str, np.ndarray]] = {"rpn": {}, "det": {}}
     offset = 0
@@ -601,12 +599,10 @@ def load_weights(path) -> ModelWeights:
         raise ValueError(f"{path}: {e}") from None
 
 
-def random_weights(
-    seed: int, k: int = 9, bins: int = 7, intermediate_dim: int = 256, scale: float = 0.05
-) -> ModelWeights:
+def random_weights(seed: int, k: int = 9, bins: int = 7, scale: float = 0.05) -> ModelWeights:
     """Small random weights; useful for benchmarks and plumbing tests."""
     rng = np.random.default_rng(seed)
-    d = intermediate_dim
+    d = RPN_DIM
     feat = bins * bins * NUM_CHANNELS
     return ModelWeights(
         rpn=RpnHead(

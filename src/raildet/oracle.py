@@ -34,6 +34,7 @@ from .model import (
     CHAN_YMOM,
     NUM_CHANNELS,
     NUM_CLASSES,
+    RPN_DIM,
     DetectHead,
     ModelWeights,
     RpnHead,
@@ -55,9 +56,7 @@ def oracle_pipeline_config() -> PipelineConfig:
     return PipelineConfig()
 
 
-def build_oracle_weights(
-    config: PipelineConfig = PipelineConfig(), intermediate_dim: int = 256
-) -> ModelWeights:
+def build_oracle_weights(config: PipelineConfig = PipelineConfig()) -> ModelWeights:
     """Oracle RPN and detection heads for ``config``'s anchors, stride and
     ``roi_bins``."""
     bins = config.roi_bins
@@ -65,7 +64,7 @@ def build_oracle_weights(
     cell = config.anchors.stride * config.anchors.stride  # pixels per cell
     anchors = base_anchors(config.anchors)
 
-    d = intermediate_dim
+    d = RPN_DIM
     conv_w = np.zeros((d, NUM_CHANNELS, 3, 3))
     conv_b = np.zeros(d)
 

@@ -25,8 +25,8 @@ from .geometry import (
 )
 from . import ohem
 from .model import (
+    BACKBONE_STRIDES,
     IMAGE_HEIGHT,
-    BackboneSpec,
     FeatureMap,
     ModelWeights,
     detect_forward,
@@ -45,7 +45,7 @@ from .voc import Annotation
 
 # the most feature cells a ROI can span: the map height at the finest
 # backbone stride; more bins than that only repeat cells
-MAX_ROI_BINS = IMAGE_HEIGHT // 16
+MAX_ROI_BINS = IMAGE_HEIGHT // min(BACKBONE_STRIDES)
 
 
 class PipelineError(Exception):
@@ -62,12 +62,8 @@ class PipelineConfig:
     """Every setting of the pipeline; the config file format is derived from
     these fields (see :mod:`raildet.config`)."""
 
-    backbone: BackboneSpec = BackboneSpec()
-    # a config file that sets no anchor stride gets the backbone's
-    anchors: AnchorConfig = field(
-        default=AnchorConfig(),
-        metadata={"defaults_from": lambda built: {"stride": built["backbone"].stride}},
-    )
+    # the anchor stride is also the backbone's feature stride
+    anchors: AnchorConfig = AnchorConfig()
     proposal: ProposalConfig = ProposalConfig()
     ohem: OhemConfig = OhemConfig()
     score_threshold: float = 0.5
@@ -85,10 +81,9 @@ class PipelineConfig:
             raise ValueError(f"roi_fg_iou must be in (0, 1), got {self.roi_fg_iou}")
         if not (1 <= self.roi_bins <= MAX_ROI_BINS):
             raise ValueError(f"roi_bins must be in [1, {MAX_ROI_BINS}], got {self.roi_bins}")
-        if self.anchors.stride != self.backbone.stride:
+        if self.anchors.stride not in BACKBONE_STRIDES:
             raise ValueError(
-                f"anchor stride {self.anchors.stride} does not match backbone "
-                f"stride {self.backbone.stride}"
+                f"anchor stride must be one of {BACKBONE_STRIDES}, got {self.anchors.stride}"
             )
 
 
@@ -119,7 +114,7 @@ def _first_stage(
     wrap or replace it there.
     """
     with _stage("backbone"):
-        fm = extract_features(image, config.backbone)
+        fm = extract_features(image, config.anchors.stride)
     with _stage("rpn"):
         scores, deltas = rpn_forward(fm, weights.rpn, config.anchors.k)
     grid = tile(config.anchors, fm.width, fm.height)

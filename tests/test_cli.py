@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -242,6 +243,19 @@ class TestBadInput:
         else:
             assert len(err.strip().splitlines()) == 1
 
+    def test_preprocess_stops_at_the_first_failure(self, tmp_path):
+        src, out = tmp_path / "src", tmp_path / "o"
+        assert run("synth", "--out", str(src), "--count", "6", "--seed", "0") == 0
+        xml = src / "scene_000000.xml"
+        xml.write_bytes(re.sub(rb"<xmin>[^<]*<", b"<xmin>nan<", xml.read_bytes(), count=1))
+        rc, err = run_process("preprocess", "--in", str(src), "--out", str(out),
+                              env={"DETPIPE_THREADS": "1"})
+        assert rc == 1
+        assert_one_line_error(err, "scene_000000.xml", "finite")
+        # the one worker may already hold the next image; the rest are cancelled
+        assert len(list(out.glob("*.ppm"))) <= 1
+        assert not (out / "manifest.txt").exists()
+
     @pytest.mark.parametrize("iou", ["1.5", "0", "-0.2"])
     def test_eval_iou_out_of_range_is_config_error(self, scene_dir, iou):
         rc, err = run_process("eval", "--dets", str(scene_dir / "missing.csv"),
@@ -295,6 +309,36 @@ class TestConfigHandling:
                               "--out", str(tmp_path / "d.csv"))
         assert rc == 2
         assert_one_line_error(err, "config error", "anchors.scales")
+
+
+@pytest.fixture(scope="module")
+def stride32(tmp_path_factory):
+    """20 scenes from seed 0 and a config that sets ``anchors.stride=32``."""
+    out = tmp_path_factory.mktemp("stride32")
+    assert run("synth", "--out", str(out / "scenes"), "--count", "20", "--seed", "0") == 0
+    (out / "s32.cfg").write_text("anchors.stride=32\n")
+    return out
+
+
+class TestStride32:
+    """Stage 5 with down-sampling: the outputs at stride 32 are pinned."""
+
+    def test_oracle_detections(self, stride32):
+        dets = stride32 / "dets.csv"
+        assert run("detect", "--images", str(stride32 / "scenes"), "--config",
+                   str(stride32 / "s32.cfg"), "--out", str(dets)) == 0
+        assert len(dets.read_text().splitlines()) == 69
+        assert hashlib.sha256(dets.read_bytes()).hexdigest() == (
+            "fc7cd1c9134bc7aa846fdeb8e499fbdfd869197a708a9feadac38ab949117b40")
+
+    def test_random_proposals(self, stride32):
+        rois = stride32 / "rois.csv"
+        assert run("propose", "--image", str(stride32 / "scenes" / "scene_000000.ppm"),
+                   "--weights", "random:0", "--config", str(stride32 / "s32.cfg"),
+                   "--out", str(rois)) == 0
+        assert len(rois.read_text().splitlines()) == 301
+        assert hashlib.sha256(rois.read_bytes()).hexdigest() == (
+            "f71278338fa3fc74ae210804d8824bc44226050d8d00cb5e266b1581a583a5c8")
 
 
 class TestBench:
@@ -420,6 +464,19 @@ class TestBadWeights:
         rc, err = self._detect(scene_dir, tmp_path, self._copy(weight_file, tmp_path, data=data))
         assert rc == 1
         assert_one_line_error(err, "w.bin", "det.reg.bias")
+
+    def test_missing_binary_is_named(self, scene_dir, tmp_path):
+        rc, err = self._detect(scene_dir, tmp_path, tmp_path / "nope.bin")
+        assert rc == 1
+        assert_one_line_error(err, "nope.bin")
+        assert ".meta" not in err
+
+    def test_missing_sidecar_is_named(self, scene_dir, weight_file, tmp_path):
+        path = tmp_path / "w.bin"
+        path.write_bytes(weight_file[0].read_bytes())
+        rc, err = self._detect(scene_dir, tmp_path, path)
+        assert rc == 1
+        assert_one_line_error(err, "w.bin.meta")
 
     def test_trailing_data_exit_1(self, scene_dir, weight_file, tmp_path):
         data = weight_file[0].read_bytes() + b"\0" * 8

@@ -16,7 +16,7 @@ from raildet.model import (
     INTENSITY_THRESHOLDS,
     NUM_CHANNELS,
     NUM_CLASSES,
-    BackboneSpec,
+    BACKBONE_STRIDES,
     BnParams,
     DetectHead,
     FeatureMap,
@@ -34,16 +34,9 @@ from raildet.model import (
 )
 
 
-class TestBackboneSpec:
-    def test_strides(self):
-        assert BackboneSpec(stage5_downsample=True).stride == 32
-        assert BackboneSpec(stage5_downsample=False).stride == 16
-
-
-def reference_features(image, spec):
+def reference_features(image, s):
     """The filter bank as float cell means over float64 planes."""
     image = np.asarray(image, dtype=np.float64)
-    s = spec.stride
     h, w = 1000 // s, 800 // s
     cropped = image[: h * s, : w * s]
 
@@ -63,9 +56,8 @@ def reference_features(image, spec):
 
 
 class TestExtractFeatures:
-    @pytest.mark.parametrize("stage5_downsample", [False, True])
-    def test_bit_identical_to_float_reference(self, stage5_downsample):
-        spec = BackboneSpec(stage5_downsample=stage5_downsample)
+    @pytest.mark.parametrize("stride", BACKBONE_STRIDES)
+    def test_bit_identical_to_float_reference(self, stride):
         rng = np.random.default_rng(21)
         images = [synthesize_scene(seed)[0] for seed in (0, 7)]
         images.append(rng.uniform(0, 255, (1000, 800)))
@@ -75,17 +67,22 @@ class TestExtractFeatures:
         images.append(rng.choice([99.5, 100.0, 100.25, 159.999, 160.0, 190.5, 220.0, 220.01],
                                  size=(1000, 800)))
         for image in images:
-            expected = reference_features(image, spec)
+            expected = reference_features(image, stride)
             # a uint8 image and its float64 copy take different paths
             for given in (image, image.astype(np.float64)):
-                assert np.array_equal(extract_features(given, spec).data, expected)
+                assert np.array_equal(extract_features(given, stride).data, expected)
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="800x1000"):
-            extract_features(np.zeros((500, 400)))
+            extract_features(np.zeros((500, 400)), 16)
+
+    @pytest.mark.parametrize("stride", [0, 8, 24, 64])
+    def test_rejects_unsupported_stride(self, stride):
+        with pytest.raises(ValueError, match=r"stride must be one of \(16, 32\)"):
+            extract_features(np.zeros((1000, 800)), stride)
 
     def test_constant_image_constant_channels(self):
-        fm = extract_features(np.full((1000, 800), 120.0))
+        fm = extract_features(np.full((1000, 800), 120.0), 16)
         for c in range(NUM_CHANNELS):
             assert np.allclose(fm.data[c], fm.data[c].flat[0])
         assert np.allclose(fm.data[CHAN_LUM], 120.0 / 255.0)
@@ -93,19 +90,19 @@ class TestExtractFeatures:
         assert np.allclose(fm.data[CHAN_OCC[1]], 0.0)  # 120 <= 160
 
     def test_stage5_no_downsample_matches_stage4(self):
-        fm = extract_features(np.zeros((1000, 800)), BackboneSpec(stage5_downsample=False))
+        fm = extract_features(np.zeros((1000, 800)), 16)
         assert (fm.height, fm.width) == (62, 50)
         assert fm.stride == 16
 
     def test_stage5_downsample_halves(self):
-        fm = extract_features(np.zeros((1000, 800)), BackboneSpec(stage5_downsample=True))
+        fm = extract_features(np.zeros((1000, 800)), 32)
         assert (fm.height, fm.width) == (31, 25)
         assert fm.stride == 32
 
     def test_occupancy_fraction(self):
         img = np.zeros((1000, 800))
         img[:8, :16] = 200.0  # half of the top-left 16x16 cell
-        fm = extract_features(img)
+        fm = extract_features(img, 16)
         assert abs(fm.data[CHAN_OCC[0], 0, 0] - 0.5) < 1e-12
         assert abs(fm.data[CHAN_OCC[2], 0, 0] - 0.5) < 1e-12
         assert fm.data[CHAN_OCC[3], 0, 0] == 0.0
@@ -405,13 +402,12 @@ class TestDetectForwardBatch:
             detect_forward_batch(np.zeros((2, 3, 3, NUM_CHANNELS)), random_weights(0).det)
 
 
-def einsum_features(image, spec):
+def einsum_features(image, s):
     """The filter bank with the y-moment as a float einsum over per-row
     counts: the backbone before the moment was summed in integers."""
     image = np.asarray(image)
     if image.dtype != np.uint8:
         image = image.astype(np.float64, copy=False)
-    s = spec.stride
     h_cells, w_cells = 1000 // s, 800 // s
     cells = image[: h_cells * s, : w_cells * s].reshape(h_cells, s, w_cells, s)
     cell_area = s * s
@@ -433,12 +429,9 @@ def einsum_features(image, spec):
     return chans
 
 
-ALL_SPECS = [BackboneSpec(stage5_downsample=False), BackboneSpec(stage5_downsample=True)]
-
-
 class TestIntegerRowMoment:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=["stage5", "stage5-down"])
-    def test_equals_einsum_reference(self, spec):
+    @pytest.mark.parametrize("stride", BACKBONE_STRIDES, ids=["stage5", "stage5-down"])
+    def test_equals_einsum_reference(self, stride):
         rng = np.random.default_rng(31)
         images = [synthesize_scene(seed)[0] for seed in (0, 3, 11)]
         images.append(rng.integers(0, 256, (1000, 800)).astype(np.uint8))
@@ -447,8 +440,8 @@ class TestIntegerRowMoment:
         images.append(rng.choice([99.5, 100.0, 100.25, 220.0, 220.01], size=(1000, 800)))
         for image in images:
             for given in (image, image.astype(np.float64)):
-                expected = einsum_features(given, spec)
-                assert np.array_equal(extract_features(given, spec).data, expected)
+                expected = einsum_features(given, stride)
+                assert np.array_equal(extract_features(given, stride).data, expected)
 
 
 def full_rpn_forward(fm, head, k):
@@ -476,22 +469,22 @@ class TestCompactRpn:
     @pytest.fixture(scope="class")
     def oracle_heads(self):
         out = {}
-        for spec in (BackboneSpec(), BackboneSpec(stage5_downsample=True)):
+        for stride in BACKBONE_STRIDES:
             base = PipelineConfig()
             config = dataclasses.replace(
-                base, backbone=spec, anchors=dataclasses.replace(base.anchors, stride=spec.stride))
-            out[spec.stride] = (spec, build_oracle_weights(config).rpn)
+                base, anchors=dataclasses.replace(base.anchors, stride=stride))
+            out[stride] = build_oracle_weights(config).rpn
         return out
 
     def test_oracle_head_has_dead_channels(self, oracle_heads):
-        live = _live_channels(oracle_heads[16][1])
+        live = _live_channels(oracle_heads[16])
         assert live is not None and 0 < len(live) < 256
 
     @pytest.mark.parametrize("stride", [16, 32])
     def test_bit_identical_to_full_path_on_oracle_heads(self, oracle_heads, stride):
-        spec, head = oracle_heads[stride]
+        head = oracle_heads[stride]
         for seed in range(12 if stride == 16 else 4):
-            fm = extract_features(synthesize_scene(seed)[0], spec)
+            fm = extract_features(synthesize_scene(seed)[0], stride)
             scores, deltas = rpn_forward(fm, head, 9)
             ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
             assert np.array_equal(scores, ref_scores)
@@ -502,7 +495,7 @@ class TestCompactRpn:
         rng = np.random.default_rng(seed)
         head = random_weights(seed, scale=0.3).rpn
         head = _with_dead_channels(head, rng.random(256) < 0.8)
-        fm = extract_features(synthesize_scene(seed)[0])
+        fm = extract_features(synthesize_scene(seed)[0], 16)
         scores, deltas = rpn_forward(fm, head, 9)
         ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0)
@@ -513,7 +506,7 @@ class TestCompactRpn:
     def test_all_dead_head_gives_the_biases(self):
         head = _with_dead_channels(random_weights(3).rpn, slice(None))
         assert len(_live_channels(head)) == 0
-        fm = extract_features(synthesize_scene(0)[0])
+        fm = extract_features(synthesize_scene(0)[0], 16)
         scores, deltas = rpn_forward(fm, head, 9)
         ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
         assert np.array_equal(scores, ref_scores)
@@ -523,7 +516,7 @@ class TestCompactRpn:
     def test_all_live_head_uses_the_head_as_is(self):
         head = random_weights(0).rpn
         assert _live_channels(head) is None
-        fm = extract_features(synthesize_scene(0)[0])
+        fm = extract_features(synthesize_scene(0)[0], 16)
         scores, deltas = rpn_forward(fm, head, 9)
         ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
         assert np.array_equal(scores, ref_scores)
@@ -538,7 +531,7 @@ class TestCompactRpn:
         conv_b[100:200] = 0.5
         head = dataclasses.replace(head, conv_w=conv_w, conv_b=conv_b)
         assert np.array_equal(_live_channels(head), np.arange(100, 256))
-        fm = extract_features(synthesize_scene(4)[0])
+        fm = extract_features(synthesize_scene(4)[0], 16)
         scores, deltas = rpn_forward(fm, head, 9)
         ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0)
@@ -546,7 +539,7 @@ class TestCompactRpn:
 
     @pytest.mark.parametrize("column", ["score_w", "delta_w"])
     def test_non_finite_dead_column_stays_live(self, oracle_heads, column):
-        head = oracle_heads[16][1]
+        head = oracle_heads[16]
         dead = np.setdiff1d(np.arange(256), _live_channels(head))[0]
         bad = getattr(head, column).copy()
         bad[1, dead] = np.inf

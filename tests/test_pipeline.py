@@ -123,13 +123,6 @@ class TestDetect:
         assert info.value.stage == stage
         assert isinstance(info.value.cause, ValueError)
 
-    def test_stride_mismatch_rejected(self):
-        base = oracle_pipeline_config()
-        with pytest.raises(ValueError):
-            dataclasses.replace(
-                base, anchors=dataclasses.replace(base.anchors, stride=32)
-            )
-
 
 class TestProposeRois:
     def test_oracle_rois_cover_objects(self, oracle):
@@ -153,7 +146,7 @@ class TestProposeRois:
 def _ohem_reference(image, ann, weights, config):
     """One mining round from the public stages, the backbone run twice."""
     rois = propose_rois(image, weights, config)
-    fm = pipeline.extract_features(image, config.backbone)
+    fm = pipeline.extract_features(image, config.anchors.stride)
     gts = [o.box for o in ann.objects]
     ious = iou_matrix(boxes_to_array([r.box for r in rois]), boxes_to_array(gts))
     targets = []
@@ -227,7 +220,6 @@ class TestOhemSimulation:
 
 
 DEFAULT_CONFIG_TEXT = """\
-backbone.stage5_downsample=false
 anchors.scales=16.0,32.0,64.0
 anchors.ratios=0.5,1.0,2.0
 anchors.stride=16
@@ -258,8 +250,6 @@ def _default_entries():
 
 def _other_value(value):
     """A legal value of the same type that differs from ``value``."""
-    if isinstance(value, bool):
-        return not value
     if isinstance(value, int):
         return 2 * value
     if isinstance(value, float):
@@ -268,15 +258,9 @@ def _other_value(value):
 
 
 def _as_text(value):
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(repr(v) for v in value)
     return repr(value)
-
-
-# keys whose non-default value is legal only together with another key
-COMPANION_LINES = {"anchors.stride": "backbone.stage5_downsample=true\n"}
 
 
 class TestConfigFile:
@@ -303,17 +287,17 @@ class TestConfigFile:
     @pytest.mark.parametrize("key,default", list(_default_entries()))
     def test_every_key_round_trips(self, key, default):
         line = f"{key}={_as_text(_other_value(default))}"
-        cfg = parse_config(COMPANION_LINES.get(key, "") + line)
+        cfg = parse_config(line)
         assert cfg != PipelineConfig()
         dumped = dump_config(cfg)
         assert line in dumped.splitlines()
         assert parse_config(dumped) == cfg
 
-    def test_anchor_stride_follows_backbone(self):
-        cfg = parse_config("backbone.stage5_downsample=true")
-        assert cfg.anchors.stride == cfg.backbone.stride == 32
-        with pytest.raises(ConfigError, match="stride"):
-            parse_config("backbone.stage5_downsample=true\nanchors.stride=16")
+    def test_anchor_stride_sets_the_backbone_stride(self):
+        cfg = parse_config("anchors.stride=32")
+        fm, _ = pipeline._first_stage(synthesize_scene(0)[0], random_weights(0), cfg)
+        assert fm.stride == cfg.anchors.stride == 32
+        assert (fm.height, fm.width) == (31, 25)
 
     def test_load_config_names_the_file_on_every_error(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -355,6 +339,7 @@ class TestConfigFile:
             "pipeline.final_nms_iou=1",
             "pipeline.roi_fg_iou=0",
             "pipeline.roi_fg_iou=1.5",
+            "anchors.stride=8",
         ],
     )
     def test_out_of_range_rejected(self, line):
@@ -372,6 +357,7 @@ class TestConfigFile:
             "assignment.neg_iou_threshold=0.3",
             "backbone.channels=7",
             "backbone.attach_stage=stage5",
+            "backbone.stage5_downsample=true",
         ],
     )
     def test_removed_keys_rejected(self, line):
@@ -399,7 +385,7 @@ class TestConfigFile:
             parse_config("proposal.post_nms_top=9999")  # exceeds pre_nms_top
 
     def test_round_trip(self):
-        cfg = parse_config("proposal.post_nms_top=50\nbackbone.stage5_downsample=false")
+        cfg = parse_config("proposal.post_nms_top=50\nanchors.stride=32")
         assert parse_config(dump_config(cfg)) == cfg
 
     def test_with_post_nms_top(self):
@@ -439,8 +425,7 @@ class TestBatchedOhem:
         assert not any(result.per_image[0].roi_classes)
 
     def test_stride_32_backbone(self):
-        config = parse_config("backbone.stage5_downsample=true")
-        assert config.backbone.stride == 32
+        config = parse_config("anchors.stride=32")
         dataset = [synthesize_scene(s) for s in (2, 9)]
         self._assert_matches_reference(dataset, random_weights(1), config)
 

@@ -167,7 +167,7 @@ def test_batch_edge_cases_bit_identical():
 
 
 def test_batch_equals_roi_pool_on_a_real_feature_map():
-    fm = pipeline.extract_features(synthesize_scene(5)[0])
+    fm = pipeline.extract_features(synthesize_scene(5)[0], 16)
     rois = _random_rois(np.random.default_rng(5), fm, 40)
     got = roi_pool_batch(fm, boxes_to_array(rois), 7)
     for roi, pooled in zip(rois, got):
