@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .geometry import BBox, BoxDelta, area, clip, decode, encode, iou
-from .anchors import AnchorConfig, AnchorGrid, base_anchors, tile
+from .anchors import AnchorConfig, base_anchors, tile
 from .assignment import AnchorAssignment, AnchorLabel, AssignmentConfig, assign
 from .proposal import ProposalConfig, ScoredBox, nms, propose
 from .ohem import OhemConfig, RoiLoss, ohem_round, roi_loss, select_hard
@@ -28,7 +28,6 @@ __all__ = [
     "decode",
     "clip",
     "AnchorConfig",
-    "AnchorGrid",
     "base_anchors",
     "tile",
     "AssignmentConfig",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,27 +45,6 @@ class AnchorConfig:
         return len(self.scales) * len(self.ratios)
 
 
-@dataclass(frozen=True)
-class AnchorGrid:
-    """All W*H*k reference boxes of a feature map.
-
-    ``anchors`` is an (W*H*k, 4) array ordered row-major over cells, then by
-    base-anchor index within each cell.
-    """
-
-    anchors: np.ndarray = field(repr=False)
-    feat_width: int
-    feat_height: int
-    k: int
-
-    def __post_init__(self):
-        if self.anchors.shape != (self.feat_width * self.feat_height * self.k, 4):
-            raise ValueError("anchor count must equal W*H*k")
-
-    def __len__(self) -> int:
-        return self.anchors.shape[0]
-
-
 def base_anchors(config: AnchorConfig) -> list[BBox]:
     """The k base anchors centered at the origin, scale-major order.
 
@@ -82,11 +61,13 @@ def base_anchors(config: AnchorConfig) -> list[BBox]:
 
 
 @functools.lru_cache(maxsize=8)
-def tile(config: AnchorConfig, feat_width: int, feat_height: int) -> AnchorGrid:
+def tile(config: AnchorConfig, feat_width: int, feat_height: int) -> np.ndarray:
     """Translate the base anchors to every cell center of a W x H grid.
 
-    Cell (i, j) has its center at ((i + 0.5) * stride, (j + 0.5) * stride).
-    Grids are memoised per (config, W, H), so ``anchors`` is read-only.
+    Returns the (W*H*k, 4) anchor array, ordered row-major over cells, then
+    by base-anchor index within each cell.  Cell (i, j) has its center at
+    ((i + 0.5) * stride, (j + 0.5) * stride).  Arrays are memoised per
+    (config, W, H), so they are read-only.
     """
     if feat_width < 1 or feat_height < 1:
         raise ValueError("feature map dimensions must be >= 1")
@@ -101,6 +82,4 @@ def tile(config: AnchorConfig, feat_width: int, feat_height: int) -> AnchorGrid:
     )
     all_anchors = (shifts[:, None, :] + base[None, :, :]).reshape(-1, 4)
     all_anchors.setflags(write=False)
-    return AnchorGrid(
-        anchors=all_anchors, feat_width=feat_width, feat_height=feat_height, k=config.k
-    )
+    return all_anchors

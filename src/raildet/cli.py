@@ -108,6 +108,11 @@ def _load_model(args, config: PipelineConfig):
         return random_weights(_seed(seed, f"--weights {spec}"), k=config.anchors.k,
                               bins=config.roi_bins)
     weights = load_weights(spec)
+    if weights.rpn.k != config.anchors.k:
+        raise ConfigError(
+            f"the RPN head in {spec} scores k={weights.rpn.k} anchors per cell, but "
+            f"the anchor config tiles k={config.anchors.k}"
+        )
     width = config.roi_bins ** 2 * NUM_CHANNELS
     if weights.det.cls_w.shape[1] != width:
         raise ConfigError(

@@ -53,7 +53,6 @@ class MatchResult:
 
     det_is_tp: list[bool]
     gt_matched: list[bool]
-    det_matched_gt: list[int | None]
 
 
 @dataclass
@@ -118,7 +117,6 @@ def match(
     such gt (ties toward the lowest gt index).
     """
     det_is_tp = [False] * len(dets)
-    det_matched = [None] * len(dets)
     gt_matched = [False] * len(gts)
 
     for cls in CLASS_NAMES:
@@ -135,9 +133,8 @@ def match(
                     best_j, best_iou = j, v
             if best_j is not None:
                 det_is_tp[i] = True
-                det_matched[i] = best_j
                 gt_matched[best_j] = True
-    return MatchResult(det_is_tp=det_is_tp, gt_matched=gt_matched, det_matched_gt=det_matched)
+    return MatchResult(det_is_tp=det_is_tp, gt_matched=gt_matched)
 
 
 def report(

@@ -72,19 +72,17 @@ def extract_features(image: np.ndarray, stride: int) -> FeatureMap:
     """Run the fixed filter bank and average-pool to ``stride`` px/cell, one
     of ``BACKBONE_STRIDES``.
 
-    ``image`` is a (1000, 800) grayscale array; anything else is rejected
-    because the pipeline assumes preprocessed input.  A uint8 image stays
-    uint8 (its cell sums are exact integers); any other dtype is converted
-    to float64.  Both give the same bits for the same pixel values.
+    ``image`` is a (1000, 800) uint8 gray plane, as ``preprocess``,
+    ``read_ppm(grayscale=True)`` and ``synthesize_scene`` give; anything
+    else is rejected because the pipeline assumes preprocessed input.
     """
     if stride not in BACKBONE_STRIDES:
         raise ValueError(f"backbone stride must be one of {BACKBONE_STRIDES}, got {stride}")
     image = np.asarray(image)
-    if image.dtype != np.uint8:
-        image = image.astype(np.float64, copy=False)
-    if image.shape != (IMAGE_HEIGHT, IMAGE_WIDTH):
+    if image.dtype != np.uint8 or image.shape != (IMAGE_HEIGHT, IMAGE_WIDTH):
         raise ValueError(
-            f"backbone expects preprocessed 800x1000 input, got {image.shape[::-1]}"
+            f"backbone expects a preprocessed 800x1000 uint8 plane, got "
+            f"{image.dtype} {image.shape[::-1]}"
         )
     s = stride
     h_cells = IMAGE_HEIGHT // s
@@ -94,12 +92,9 @@ def extract_features(image: np.ndarray, stride: int) -> FeatureMap:
     cell_area = s * s
 
     chans = np.empty((NUM_CHANNELS, h_cells, w_cells), dtype=np.float64)
-    if image.dtype == np.uint8:
-        # exact integer cell sums (at most 32 * 32 * 255), so the float
-        # division below gives the bits of the float64 mean
-        lum = cells.sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
-    else:
-        lum = cells.sum(axis=(1, 3))
+    # exact integer cell sums (at most 32 * 32 * 255), so the float division
+    # gives the bits of the float64 mean
+    lum = cells.sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
     chans[CHAN_LUM] = lum / cell_area / 255.0
     # Occupancy channels are cell means of 0/1 planes and the moments cell
     # means of 0/1 times multiples of 1/(2s).  Every partial sum is exact in
@@ -194,19 +189,15 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def rpn_forward(
-    fm: FeatureMap, head: RpnHead, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+def rpn_forward(fm: FeatureMap, head: RpnHead) -> tuple[np.ndarray, np.ndarray]:
     """Per-anchor objectness and deltas over the whole feature map.
 
     Returns ``scores`` of shape (H*W*k,) -- softmax foreground probability
-    per anchor -- and ``deltas`` of shape (H*W*k, 4), both in the same
-    row-major-cells-then-anchor order the anchor grid uses.  Intermediate
-    channels that can only add exact zeros are left out of every product
-    (see :func:`_live_channels`).
+    per anchor, with ``k = head.k`` -- and ``deltas`` of shape (H*W*k, 4),
+    both in the row-major-cells-then-anchor order of :func:`anchors.tile`.
+    Intermediate channels that can only add exact zeros are left out of
+    every product (see :func:`_live_channels`).
     """
-    if head.k != k:
-        raise ValueError(f"head built for k={head.k}, requested k={k}")
     if fm.channels != head.conv_w.shape[1]:
         raise ValueError("feature channels do not match the head")
     conv_w, conv_b, score_w, delta_w = head.conv_w, head.conv_b, head.score_w, head.delta_w
@@ -216,7 +207,7 @@ def rpn_forward(
         score_w, delta_w = score_w[:, live], delta_w[:, live]
     inter = conv2d_3x3(fm.data, conv_w, conv_b)
     np.maximum(inter, 0.0, out=inter)
-    h, w = fm.height, fm.width
+    h, w, k = fm.height, fm.width, head.k
     flat = inter.reshape(len(conv_b), h * w)
     # biases and the stable softmax over each (background, foreground) pair
     # go in place: every copy of a head product raises the per-image peak of

@@ -116,10 +116,10 @@ def _first_stage(
     with _stage("backbone"):
         fm = extract_features(image, config.anchors.stride)
     with _stage("rpn"):
-        scores, deltas = rpn_forward(fm, weights.rpn, config.anchors.k)
-    grid = tile(config.anchors, fm.width, fm.height)
+        scores, deltas = rpn_forward(fm, weights.rpn)
+    anchors = tile(config.anchors, fm.width, fm.height)
     with _stage("proposal"):
-        rois = propose(grid, scores, deltas, image.shape[1], image.shape[0], config.proposal)
+        rois = propose(anchors, scores, deltas, image.shape[1], image.shape[0], config.proposal)
     return fm, rois
 
 

@@ -19,17 +19,18 @@ from .voc import Annotation
 def resize_bilinear(
     image: np.ndarray, out_h: int, out_w: int, cols: slice = slice(None)
 ) -> np.ndarray:
-    """Bilinear resampling with pixel centers aligned between grids.
+    """Bilinear resampling of a 2-D plane with pixel centers aligned between
+    grids.
 
     Returns float64 output columns ``cols`` (default all) of the resized
-    image; each column has the same bits as in the full resize, and only
+    plane; each column has the same bits as in the full resize, and only
     the source columns they blend are read.  The four neighbours are
-    gathered rows first from the input as it is (a uint8 image stays uint8)
+    gathered rows first from the input as it is (a uint8 plane stays uint8)
     and widen to float64 only in the blend, which gives the same bits as
     blending a float64 copy.
     """
     image = np.asarray(image)
-    in_h, in_w = image.shape[:2]
+    in_h, in_w = image.shape
     ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0, in_h - 1)
     out_x = np.arange(*cols.indices(out_w))
     xs = np.clip((out_x + 0.5) * in_w / out_w - 0.5, 0, in_w - 1)
@@ -45,9 +46,6 @@ def resize_bilinear(
         image = image[:, first : x1.max() + 1]
         x0 -= first
         x1 -= first
-    if image.ndim == 3:
-        fy = fy[..., None]
-        fx = fx[..., None]
     rows0, rows1 = image[y0], image[y1]
     # top * (1 - fy) + bot * fy, with top and bot the column blends of the
     # two source rows, evaluated in place to spare full-size temporaries
@@ -62,13 +60,19 @@ def resize_bilinear(
 
 
 def preprocess(image: np.ndarray, ann: Annotation) -> tuple[np.ndarray, Annotation]:
-    """Scale/crop/pad to the 800x1000 canvas and transform the annotation.
+    """Scale/crop/pad a 2-D uint8 gray plane to the 800x1000 canvas and
+    transform the annotation.
 
-    Returns a uint8 image of exactly (IMAGE_HEIGHT, IMAGE_WIDTH) and the
-    transformed annotation.
+    Returns a uint8 plane of exactly (IMAGE_HEIGHT, IMAGE_WIDTH) and the
+    transformed annotation.  Raises ``ValueError`` for any other image type,
+    such as an (H, W, 3) or float array.
     """
     image = np.asarray(image)
-    in_h, in_w = image.shape[:2]
+    if image.ndim != 2 or image.dtype != np.uint8:
+        raise ValueError(
+            f"preprocess expects a 2-D uint8 gray plane, got {image.dtype} {image.shape}"
+        )
+    in_h, in_w = image.shape
     if in_h < 1 or in_w < 1:
         raise ValueError("image must be at least 1x1")
     th, tw = IMAGE_HEIGHT, IMAGE_WIDTH
@@ -77,17 +81,15 @@ def preprocess(image: np.ndarray, ann: Annotation) -> tuple[np.ndarray, Annotati
     w1 = int(round(s * in_w))
     w1 = max(w1, 1)
 
-    if w1 < tw:
-        pad_left = (tw - w1) // 2
-        shape = (th, tw) + image.shape[2:]
-        canvas = np.zeros(shape)
-        canvas[:, pad_left : pad_left + w1] = resize_bilinear(image, th, w1)
-        shift = float(pad_left)
-    else:
-        # resample only the columns that survive the crop
-        crop_left = (w1 - tw) // 2
-        canvas = resize_bilinear(image, th, w1, slice(crop_left, crop_left + tw))
-        shift = float(-crop_left)
+    # scaled column x lands on canvas column x + shift: the left pad, or
+    # minus the left crop.  Only the columns that land are resampled.
+    shift = (tw - w1) // 2 if w1 < tw else -((w1 - tw) // 2)
+    lo, hi = max(0, -shift), min(w1, tw - shift)
+    band = resize_bilinear(image, th, w1, slice(lo, hi))
+    np.round(band, out=band)
+    np.clip(band, 0, 255, out=band)
+    canvas = np.zeros((th, tw), dtype=np.uint8)
+    canvas[:, lo + shift : hi + shift] = band
 
     objects = []
     for obj in ann.objects:
@@ -106,8 +108,4 @@ def preprocess(image: np.ndarray, ann: Annotation) -> tuple[np.ndarray, Annotati
         image_height=th,
         objects=tuple(objects),
     )
-    # canvas is ours (the resize or the padded copy): round and clip it in
-    # place
-    np.round(canvas, out=canvas)
-    np.clip(canvas, 0, 255, out=canvas)
-    return canvas.astype(np.uint8), out_ann
+    return canvas, out_ann

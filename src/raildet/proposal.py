@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import AnchorGrid
 from .geometry import BBOX_XFORM_CLIP, BBox, clip_array, decode_array, iou_matrix
 
 NMS_BLOCK = 256
@@ -114,7 +113,7 @@ def _greedy_keep(
 
 
 def propose(
-    grid: AnchorGrid,
+    anchors: np.ndarray,
     scores: np.ndarray,
     deltas: np.ndarray,
     image_w: float,
@@ -124,11 +123,11 @@ def propose(
     """Decode, clip, filter and NMS anchors into a ranked ROI list.
 
     ``scores`` is (N,) objectness, ``deltas`` is (N, 4) in (tx, ty, tw, th)
-    order, both aligned with ``grid.anchors``.
+    order, both aligned with the (N, 4) ``anchors`` of :func:`anchors.tile`.
     """
     scores = np.asarray(scores, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
-    n = len(grid)
+    n = len(anchors)
     if scores.shape != (n,) or deltas.shape != (n, 4):
         raise ValueError(
             f"scores/deltas must match anchor count {n}: "
@@ -142,7 +141,7 @@ def propose(
     boxes = np.empty((n, 4))
     for start in range(0, n, DECODE_CHUNK):
         rows = slice(start, start + DECODE_CHUNK)
-        decode_array(grid.anchors[rows], deltas[rows], out=boxes[rows],
+        decode_array(anchors[rows], deltas[rows], out=boxes[rows],
                      max_log_scale=BBOX_XFORM_CLIP)
     clip_array(boxes, image_w, image_h, out=boxes)
     widths = boxes[:, 2] - boxes[:, 0]

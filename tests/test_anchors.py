@@ -68,12 +68,12 @@ def test_single_cell_is_translated_base():
     cfg = AnchorConfig(scales=(16.0, 32.0, 64.0), ratios=(0.5, 1.0, 2.0), stride=16)
     grid = tile(cfg, 1, 1)
     base = np.array([b.as_tuple() for b in base_anchors(cfg)])
-    assert np.allclose(grid.anchors, base + np.array([8.0, 8.0, 8.0, 8.0]))
+    assert np.allclose(grid, base + np.array([8.0, 8.0, 8.0, 8.0]))
 
 
 def test_shared_center_per_cell():
     grid = tile(AnchorConfig(), 4, 3)
-    arr = grid.anchors.reshape(3, 4, 9, 4)
+    arr = grid.reshape(3, 4, 9, 4)
     cx = 0.5 * (arr[..., 0] + arr[..., 2])
     cy = 0.5 * (arr[..., 1] + arr[..., 3])
     assert np.allclose(cx, cx[..., :1])
@@ -92,9 +92,10 @@ def test_tile_is_memoised_and_read_only():
     cfg = AnchorConfig()
     grid = tile(cfg, 50, 62)
     assert tile(cfg, 50, 62) is grid
-    assert not grid.anchors.flags.writeable
+    assert type(grid) is np.ndarray and grid.shape == (50 * 62 * 9, 4)
+    assert not grid.flags.writeable
     with pytest.raises(ValueError):
-        grid.anchors[0, 0] = 1.0
+        grid[0, 0] = 1.0
     fresh = tile.__wrapped__(cfg, 50, 62)
     assert fresh is not grid
-    assert np.array_equal(grid.anchors, fresh.anchors)
+    assert np.array_equal(grid, fresh)

@@ -13,6 +13,7 @@ from raildet.cli import RENDER_COLORS, build_parser, main
 from raildet.dataio import read_detections_csv, read_split_manifest
 from raildet.evaluation import Detection, EvalConfig
 from raildet.geometry import BBox
+from raildet.model import random_weights, save_weights
 from raildet.pipeline import PipelineConfig
 from raildet.ppm import read_ppm, write_ppm
 from raildet.dataio import write_detections_csv
@@ -493,6 +494,16 @@ class TestBadWeights:
                               "--out", str(tmp_path / "d.csv"))
         assert rc == 2
         assert_one_line_error(err, "config error", "roi_bins=5", "175", "343")
+
+    def test_head_for_another_anchor_count_is_config_error(self, scene_dir, tmp_path):
+        path = tmp_path / "k3.bin"
+        save_weights(random_weights(0, k=3), path)
+        rc, err = run_process("detect", "--images", str(scene_dir), "--weights", str(path),
+                              "--out", str(tmp_path / "d.csv"))
+        assert rc == 2
+        # blamed on the weight file, before any image is read
+        assert_one_line_error(err, "config error", "k3.bin", "k=3", "k=9")
+        assert "scene_" not in err
 
     def test_random_seed_not_an_integer_is_config_error(self, tmp_path):
         rc, err = run_process("detect", "--image", str(tmp_path / "none.ppm"),

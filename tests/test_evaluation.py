@@ -58,7 +58,7 @@ class TestMatch:
         dets = [det("V", 0, 0, 10, 10, 0.9), det("V", 0, 0.5, 10, 10.5, 0.8)]
         m = match(dets, [gt("V", 0, 0, 10, 10)])
         assert m.det_is_tp == [True, False]
-        assert m.det_matched_gt == [0, None]
+        assert m.gt_matched == [True]
 
     def test_greedy_by_score(self):
         dets = [det("V", 0, 0.5, 10, 10.5, 0.8), det("V", 0, 0, 10, 10, 0.9)]

@@ -60,29 +60,31 @@ class TestExtractFeatures:
     def test_bit_identical_to_float_reference(self, stride):
         rng = np.random.default_rng(21)
         images = [synthesize_scene(seed)[0] for seed in (0, 7)]
-        images.append(rng.uniform(0, 255, (1000, 800)))
         images.append(rng.integers(0, 256, (1000, 800)).astype(np.uint8))
         images.append(np.full((1000, 800), 255, dtype=np.uint8))
-        # fractions at and around every threshold
-        images.append(rng.choice([99.5, 100.0, 100.25, 159.999, 160.0, 190.5, 220.0, 220.01],
-                                 size=(1000, 800)))
+        # values at and around every threshold
+        images.append(rng.choice([99, 100, 101, 159, 160, 161, 190, 191, 220, 221],
+                                 size=(1000, 800)).astype(np.uint8))
         for image in images:
             expected = reference_features(image, stride)
-            # a uint8 image and its float64 copy take different paths
-            for given in (image, image.astype(np.float64)):
-                assert np.array_equal(extract_features(given, stride).data, expected)
+            assert np.array_equal(extract_features(image, stride).data, expected)
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="800x1000"):
-            extract_features(np.zeros((500, 400)), 16)
+            extract_features(np.zeros((500, 400), dtype=np.uint8), 16)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint16, bool])
+    def test_rejects_other_than_uint8(self, dtype):
+        with pytest.raises(ValueError, match="uint8 plane"):
+            extract_features(np.zeros((1000, 800), dtype=dtype), 16)
 
     @pytest.mark.parametrize("stride", [0, 8, 24, 64])
     def test_rejects_unsupported_stride(self, stride):
         with pytest.raises(ValueError, match=r"stride must be one of \(16, 32\)"):
-            extract_features(np.zeros((1000, 800)), stride)
+            extract_features(np.zeros((1000, 800), dtype=np.uint8), stride)
 
     def test_constant_image_constant_channels(self):
-        fm = extract_features(np.full((1000, 800), 120.0), 16)
+        fm = extract_features(np.full((1000, 800), 120, dtype=np.uint8), 16)
         for c in range(NUM_CHANNELS):
             assert np.allclose(fm.data[c], fm.data[c].flat[0])
         assert np.allclose(fm.data[CHAN_LUM], 120.0 / 255.0)
@@ -90,18 +92,18 @@ class TestExtractFeatures:
         assert np.allclose(fm.data[CHAN_OCC[1]], 0.0)  # 120 <= 160
 
     def test_stage5_no_downsample_matches_stage4(self):
-        fm = extract_features(np.zeros((1000, 800)), 16)
+        fm = extract_features(np.zeros((1000, 800), dtype=np.uint8), 16)
         assert (fm.height, fm.width) == (62, 50)
         assert fm.stride == 16
 
     def test_stage5_downsample_halves(self):
-        fm = extract_features(np.zeros((1000, 800)), 32)
+        fm = extract_features(np.zeros((1000, 800), dtype=np.uint8), 32)
         assert (fm.height, fm.width) == (31, 25)
         assert fm.stride == 32
 
     def test_occupancy_fraction(self):
-        img = np.zeros((1000, 800))
-        img[:8, :16] = 200.0  # half of the top-left 16x16 cell
+        img = np.zeros((1000, 800), dtype=np.uint8)
+        img[:8, :16] = 200  # half of the top-left 16x16 cell
         fm = extract_features(img, 16)
         assert abs(fm.data[CHAN_OCC[0], 0, 0] - 0.5) < 1e-12
         assert abs(fm.data[CHAN_OCC[2], 0, 0] - 0.5) < 1e-12
@@ -149,7 +151,7 @@ class TestRpnForward:
     def test_zero_weights_give_half_scores(self):
         weights = random_weights(0, scale=0.0)
         fm = self._fm()
-        scores, deltas = rpn_forward(fm, weights.rpn, 9)
+        scores, deltas = rpn_forward(fm, weights.rpn)
         assert scores.shape == (4 * 5 * 9,)
         assert deltas.shape == (4 * 5 * 9, 4)
         assert np.allclose(scores, 0.5)
@@ -157,13 +159,12 @@ class TestRpnForward:
 
     def test_scores_in_unit_interval(self):
         weights = random_weights(17, scale=0.5)
-        scores, _ = rpn_forward(self._fm(), weights.rpn, 9)
+        scores, _ = rpn_forward(self._fm(), weights.rpn)
         assert np.all(scores >= 0) and np.all(scores <= 1)
 
-    def test_k_mismatch(self):
-        weights = random_weights(0)
-        with pytest.raises(ValueError):
-            rpn_forward(self._fm(), weights.rpn, 3)
+    def test_anchor_count_comes_from_the_head(self):
+        scores, deltas = rpn_forward(self._fm(), random_weights(0, k=3).rpn)
+        assert scores.shape == (4 * 5 * 3,) and deltas.shape == (4 * 5 * 3, 4)
 
     def test_grid_order_matches_anchors(self):
         # zero conv + per-anchor score bias: every cell carries the same
@@ -175,7 +176,7 @@ class TestRpnForward:
         import dataclasses
 
         rpn = dataclasses.replace(rpn, score_b=bias)
-        scores, _ = rpn_forward(self._fm(), rpn, 9)
+        scores, _ = rpn_forward(self._fm(), rpn)
         per_cell = scores.reshape(-1, 9)
         assert np.all(per_cell[:, 3] > 0.99)
         assert np.allclose(per_cell[:, [0, 1, 2, 4, 5, 6, 7, 8]], 0.5)
@@ -405,17 +406,11 @@ class TestDetectForwardBatch:
 def einsum_features(image, s):
     """The filter bank with the y-moment as a float einsum over per-row
     counts: the backbone before the moment was summed in integers."""
-    image = np.asarray(image)
-    if image.dtype != np.uint8:
-        image = image.astype(np.float64, copy=False)
     h_cells, w_cells = 1000 // s, 800 // s
     cells = image[: h_cells * s, : w_cells * s].reshape(h_cells, s, w_cells, s)
     cell_area = s * s
     chans = np.empty((NUM_CHANNELS, h_cells, w_cells))
-    if image.dtype == np.uint8:
-        lum = cells.sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
-    else:
-        lum = cells.sum(axis=(1, 3))
+    lum = cells.sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
     chans[CHAN_LUM] = lum / cell_area / 255.0
     pos = (np.arange(s) + 0.5 - 0.5 * s) / s
     for c, t in zip(CHAN_OCC, INTENSITY_THRESHOLDS):
@@ -436,19 +431,17 @@ class TestIntegerRowMoment:
         images = [synthesize_scene(seed)[0] for seed in (0, 3, 11)]
         images.append(rng.integers(0, 256, (1000, 800)).astype(np.uint8))
         images.append(np.full((1000, 800), 255, dtype=np.uint8))
-        images.append(rng.uniform(0, 255, (1000, 800)))
-        images.append(rng.choice([99.5, 100.0, 100.25, 220.0, 220.01], size=(1000, 800)))
+        images.append(rng.choice([99, 100, 101, 220, 221], size=(1000, 800)).astype(np.uint8))
         for image in images:
-            for given in (image, image.astype(np.float64)):
-                expected = einsum_features(given, stride)
-                assert np.array_equal(extract_features(given, stride).data, expected)
+            expected = einsum_features(image, stride)
+            assert np.array_equal(extract_features(image, stride).data, expected)
 
 
-def full_rpn_forward(fm, head, k):
+def full_rpn_forward(fm, head):
     """The RPN over every intermediate channel, dead ones included."""
     inter = conv2d_3x3(fm.data, head.conv_w, head.conv_b)
     np.maximum(inter, 0.0, out=inter)
-    h, w = fm.height, fm.width
+    h, w, k = fm.height, fm.width, head.k
     flat = inter.reshape(head.intermediate_dim, -1)
     logits = (head.score_w @ flat + head.score_b[:, None]).reshape(k, 2, h, w)
     m = logits.max(axis=1, keepdims=True)
@@ -485,8 +478,8 @@ class TestCompactRpn:
         head = oracle_heads[stride]
         for seed in range(12 if stride == 16 else 4):
             fm = extract_features(synthesize_scene(seed)[0], stride)
-            scores, deltas = rpn_forward(fm, head, 9)
-            ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+            scores, deltas = rpn_forward(fm, head)
+            ref_scores, ref_deltas = full_rpn_forward(fm, head)
             assert np.array_equal(scores, ref_scores)
             assert np.array_equal(deltas, ref_deltas)
 
@@ -496,8 +489,8 @@ class TestCompactRpn:
         head = random_weights(seed, scale=0.3).rpn
         head = _with_dead_channels(head, rng.random(256) < 0.8)
         fm = extract_features(synthesize_scene(seed)[0], 16)
-        scores, deltas = rpn_forward(fm, head, 9)
-        ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+        scores, deltas = rpn_forward(fm, head)
+        ref_scores, ref_deltas = full_rpn_forward(fm, head)
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0)
         # a shorter sum rounds differently; the absolute floor covers deltas
         # that cancel to near zero (the deltas are of order 0.01)
@@ -507,8 +500,8 @@ class TestCompactRpn:
         head = _with_dead_channels(random_weights(3).rpn, slice(None))
         assert len(_live_channels(head)) == 0
         fm = extract_features(synthesize_scene(0)[0], 16)
-        scores, deltas = rpn_forward(fm, head, 9)
-        ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+        scores, deltas = rpn_forward(fm, head)
+        ref_scores, ref_deltas = full_rpn_forward(fm, head)
         assert np.array_equal(scores, ref_scores)
         assert np.array_equal(deltas, np.tile(head.delta_b.reshape(9, 4), (fm.height * fm.width, 1)))
         assert np.array_equal(deltas, ref_deltas)
@@ -517,8 +510,8 @@ class TestCompactRpn:
         head = random_weights(0).rpn
         assert _live_channels(head) is None
         fm = extract_features(synthesize_scene(0)[0], 16)
-        scores, deltas = rpn_forward(fm, head, 9)
-        ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+        scores, deltas = rpn_forward(fm, head)
+        ref_scores, ref_deltas = full_rpn_forward(fm, head)
         assert np.array_equal(scores, ref_scores)
         assert np.array_equal(deltas, ref_deltas)
 
@@ -532,8 +525,8 @@ class TestCompactRpn:
         head = dataclasses.replace(head, conv_w=conv_w, conv_b=conv_b)
         assert np.array_equal(_live_channels(head), np.arange(100, 256))
         fm = extract_features(synthesize_scene(4)[0], 16)
-        scores, deltas = rpn_forward(fm, head, 9)
-        ref_scores, ref_deltas = full_rpn_forward(fm, head, 9)
+        scores, deltas = rpn_forward(fm, head)
+        ref_scores, ref_deltas = full_rpn_forward(fm, head)
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0)
         np.testing.assert_allclose(deltas, ref_deltas, rtol=1e-12, atol=1e-15)
 

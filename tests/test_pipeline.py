@@ -123,6 +123,14 @@ class TestDetect:
         assert info.value.stage == stage
         assert isinstance(info.value.cause, ValueError)
 
+    def test_float_image_is_a_backbone_failure(self, oracle):
+        config, weights = oracle
+        image = synthesize_scene(0)[0].astype(np.float64)
+        with pytest.raises(PipelineError) as info:
+            detect(image, weights, config)
+        assert info.value.stage == "backbone"
+        assert "uint8" in str(info.value)
+
 
 class TestProposeRois:
     def test_oracle_rois_cover_objects(self, oracle):
@@ -284,7 +292,12 @@ class TestConfigFile:
         assert dump_config(PipelineConfig()) == DEFAULT_CONFIG_TEXT
         assert parse_config(DEFAULT_CONFIG_TEXT) == PipelineConfig()
 
-    @pytest.mark.parametrize("key,default", list(_default_entries()))
+    # ids name the key and its default, so adding or removing another key
+    # leaves them as they are
+    @pytest.mark.parametrize("key,default", [
+        pytest.param(key, default, id=f"{key}-{_as_text(default)}")
+        for key, default in _default_entries()
+    ])
     def test_every_key_round_trips(self, key, default):
         line = f"{key}={_as_text(_other_value(default))}"
         cfg = parse_config(line)

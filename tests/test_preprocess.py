@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import raildet.preprocess
 from raildet.evaluation import GroundTruthObject
 from raildet.geometry import BBox
 from raildet.preprocess import preprocess, resize_bilinear
@@ -15,29 +16,30 @@ def gt(x0, y0, x1, y1, cls="V"):
     return GroundTruthObject(class_name=cls, box=BBox(x0, y0, x1, y1))
 
 
-def resize_reference(image, out_h, out_w):
-    """Bilinear resampling over a float64 copy with ``np.ix_`` gathers."""
+def resize_reference(image, out_h, out_w, cols=slice(None)):
+    """Bilinear resampling over a float64 copy with ``np.ix_`` gathers.
+
+    Each output column is computed from its own source position alone, so
+    ``cols`` (default all) picks output columns without changing their bits.
+    """
     image = np.asarray(image, dtype=np.float64)
-    in_h, in_w = image.shape[:2]
+    in_h, in_w = image.shape
     ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0, in_h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * in_w / out_w - 0.5, 0, in_w - 1)
+    xs = np.clip((np.arange(out_w)[cols] + 0.5) * in_w / out_w - 0.5, 0, in_w - 1)
     y0 = np.floor(ys).astype(int)
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    if image.ndim == 3:
-        fy = fy[..., None]
-        fx = fx[..., None]
     top = image[np.ix_(y0, x0)] * (1 - fx) + image[np.ix_(y0, x1)] * fx
     bot = image[np.ix_(y1, x0)] * (1 - fx) + image[np.ix_(y1, x1)] * fx
     return top * (1 - fy) + bot * fy
 
 
 class TestResize:
-    @pytest.mark.parametrize("shape", [(37, 29), (37, 29, 3), (1, 1), (1, 1, 3),
-                                       (1, 17), (1, 17, 3)])
+    @pytest.mark.parametrize("shape", [(37, 29), (29, 37), (1, 1), (2, 3),
+                                       (1, 17), (17, 1)])
     @pytest.mark.parametrize("out", [(80, 61), (13, 7), (1, 1), (1, 40)])
     def test_bit_identical_to_float_reference(self, shape, out):
         rng = np.random.default_rng(30)
@@ -50,7 +52,7 @@ class TestResize:
 
     def test_fractional_float_input_bit_identical(self):
         rng = np.random.default_rng(31)
-        image = rng.uniform(0, 255, (23, 41, 3))
+        image = rng.uniform(0, 255, (23, 41))
         for out in ((50, 90), (9, 11)):
             assert np.array_equal(resize_bilinear(image, *out), resize_reference(image, *out))
 
@@ -130,8 +132,15 @@ class TestPreprocess:
         assert out_ann.objects == ()
 
     def test_empty_image_rejected(self):
-        with pytest.raises(ValueError):
-            preprocess(np.zeros((0, 10)), ann_with())
+        with pytest.raises(ValueError, match="1x1"):
+            preprocess(np.zeros((0, 10), dtype=np.uint8), ann_with())
+
+    @pytest.mark.parametrize("image", [np.zeros((20, 30, 3), dtype=np.uint8),
+                                       np.zeros((20, 30)), np.zeros((20, 30), dtype=np.uint16)],
+                             ids=["rgb", "float64", "uint16"])
+    def test_only_a_uint8_gray_plane_is_accepted(self, image):
+        with pytest.raises(ValueError, match="2-D uint8 gray plane"):
+            preprocess(image, ann_with(w=30, h=20))
 
     def test_deterministic(self):
         rng = np.random.default_rng(32)
@@ -149,7 +158,7 @@ class TestCropBeforeResample:
         out, _ = preprocess(image, ann_with(w=700, h=3))
         assert out.shape == (1000, 800) and out.dtype == np.uint8
 
-    @pytest.mark.parametrize("shape", [(25, 100), (25, 100, 3), (997, 1301), (20, 17)])
+    @pytest.mark.parametrize("shape", [(25, 100), (30, 100), (997, 1301), (20, 17)])
     def test_crop_equals_resize_everything_then_crop(self, shape):
         rng = np.random.default_rng(41)
         image = rng.integers(0, 256, shape).astype(np.uint8)
@@ -164,7 +173,53 @@ class TestCropBeforeResample:
                                       slice(None, None, 7)])
     def test_column_subset_bit_identical(self, cols):
         rng = np.random.default_rng(42)
-        for image in (rng.integers(0, 256, (37, 29, 3)).astype(np.uint8),
+        for image in (rng.integers(0, 256, (37, 29)).astype(np.uint8),
                       rng.uniform(0, 255, (5, 83))):
             full = resize_bilinear(image, 80, 61)
             assert np.array_equal(resize_bilinear(image, 80, 61, cols), full[:, cols])
+
+
+def canvas_reference(image):
+    """Resample every column the canvas shows, then pad or crop, then
+    round, clip and cast to uint8."""
+    h, w = image.shape
+    w1 = max(int(round(1000 / h * w)), 1)
+    if w1 < 800:
+        left = (800 - w1) // 2
+        canvas = np.zeros((1000, 800))
+        canvas[:, left : left + w1] = resize_reference(image, 1000, w1)
+    else:
+        left = (w1 - 800) // 2
+        canvas = resize_reference(image, 1000, w1, slice(left, left + 800))
+    return np.clip(np.round(canvas), 0, 255).astype(np.uint8)
+
+
+class TestOneCanvasPath:
+    # (raw height, raw width) -> scaled width w1 and margin |800 - w1|
+    @pytest.mark.parametrize("shape", [
+        (100, 60),    # w1 600: pad 200, even
+        (200, 121),   # w1 605: pad 195, odd
+        (200, 200),   # w1 1000: crop 200, even
+        (200, 201),   # w1 1005: crop 205, odd
+        (200, 160),   # w1 800: exact fit
+        (50, 1),      # w1 20: one source column
+        (3, 700),     # w1 233,333: crop 232,533, odd
+    ], ids=["pad-even", "pad-odd", "crop-even", "crop-odd", "exact", "1px-wide", "3x700"])
+    def test_equals_resize_pad_or_crop_round_clip(self, shape):
+        rng = np.random.default_rng(43)
+        image = rng.integers(0, 256, shape).astype(np.uint8)
+        out, _ = preprocess(image, ann_with(w=shape[1], h=shape[0]))
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, canvas_reference(image))
+
+    @pytest.mark.parametrize("shape", [(100, 60), (200, 201)], ids=["pad", "crop"])
+    def test_resamples_once(self, monkeypatch, shape):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return resize_bilinear(*args)
+
+        monkeypatch.setattr(raildet.preprocess, "resize_bilinear", counted)
+        preprocess(np.zeros(shape, dtype=np.uint8), ann_with(w=shape[1], h=shape[0]))
+        assert len(calls) == 1

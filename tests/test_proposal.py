@@ -239,7 +239,7 @@ def test_exact_duplicates_across_block_edge():
 def unchunked_propose(grid, scores, deltas, image_w, image_h, config=ProposalConfig()):
     """``propose`` decoding and clipping every anchor in one pass."""
     clamped = np.minimum(deltas, [np.inf, np.inf, BBOX_XFORM_CLIP, BBOX_XFORM_CLIP])
-    boxes = clip_array(decode_array(grid.anchors, clamped), image_w, image_h)
+    boxes = clip_array(decode_array(grid, clamped), image_w, image_h)
     keep = ((boxes[:, 2] - boxes[:, 0] >= config.min_box_size)
             & (boxes[:, 3] - boxes[:, 1] >= config.min_box_size))
     idx = np.nonzero(keep)[0]
