@@ -19,13 +19,15 @@ def write_ppm(path, image: np.ndarray) -> None:
     if image.dtype != np.uint8:
         raise ValueError("PPM writer expects uint8 pixels")
     if image.ndim == 2:
-        image = np.repeat(image[:, :, None], 3, axis=2)
-    if image.ndim != 3 or image.shape[2] != 3:
+        image = np.stack((image,) * 3, axis=-1)
+    elif image.ndim == 3 and image.shape[2] == 3:
+        image = np.ascontiguousarray(image)
+    else:
         raise ValueError("image must be (H, W) or (H, W, 3)")
     h, w = image.shape[:2]
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(image.tobytes())
+        f.write(image)  # the pixel bytes, without a second copy
 
 
 def read_ppm(path, grayscale: bool = False) -> np.ndarray:

@@ -5,8 +5,14 @@ width exceeds 800 the image is center-cropped about the vertical midline;
 if it falls short, black columns pad both sides (left pad floor of the
 remainder).  Ground-truth boxes ride along through the same scale/shift and
 are clipped to the canvas; boxes cropped away entirely are dropped.
+
+The canvas is resampled ``BLOCK_ROWS`` output rows at a time, straight into
+the uint8 canvas, and only in the columns that land on it, so no per-image
+temporary exceeds ~1 MB whatever the input size.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -15,44 +21,68 @@ from .geometry import BBox, clip
 from .model import IMAGE_HEIGHT, IMAGE_WIDTH
 from .voc import Annotation
 
+# canvas rows resampled at a time: a 64 x 800 float64 band is 410 KB, where
+# a whole 1000 x 800 float64 canvas (6.4 MB) made the allocator hand memory
+# back and fault it in again on every image
+BLOCK_ROWS = 64
+
+
+@functools.lru_cache(maxsize=8)
+def _taps(in_n: int, out_n: int, start: int, stop: int, step: int):
+    """Source taps of the output positions ``range(start, stop, step)`` when
+    ``in_n`` samples are resampled to ``out_n``: the lower and upper source
+    index and the weight of the upper one.  Memoised, so read-only."""
+    pos = np.clip((np.arange(start, stop, step) + 0.5) * in_n / out_n - 0.5, 0, in_n - 1)
+    lower = np.floor(pos).astype(int)
+    taps = (lower, np.minimum(lower + 1, in_n - 1), pos - lower)
+    for a in taps:
+        a.setflags(write=False)
+    return taps
+
 
 def resize_bilinear(
-    image: np.ndarray, out_h: int, out_w: int, cols: slice = slice(None)
+    image: np.ndarray,
+    out_h: int,
+    out_w: int,
+    cols: slice = slice(None),
+    rows: slice = slice(None),
 ) -> np.ndarray:
     """Bilinear resampling of a 2-D plane with pixel centers aligned between
     grids.
 
-    Returns float64 output columns ``cols`` (default all) of the resized
-    plane; each column has the same bits as in the full resize, and only
-    the source columns they blend are read.  The four neighbours are
-    gathered rows first from the input as it is (a uint8 plane stays uint8)
-    and widen to float64 only in the blend, which gives the same bits as
-    blending a float64 copy.
+    Returns the float64 output rows ``rows`` and columns ``cols`` (default
+    all) of the resized plane, each pixel with the same bits as in the full
+    resize.  The source positions come from the full ``out_h`` grid, sliced
+    by ``rows``, and from the ``cols`` of the ``out_w`` grid; both are
+    memoised, so a caller that asks for a few rows at a time computes them
+    once.  Only the source rows and columns that the requested pixels blend
+    are read.  Each of those source rows is blended across columns once,
+    ``src[:, x0] * (1 - fx) + src[:, x1] * fx``, widening its taps (a uint8
+    plane stays uint8 until then) to float64, which gives the same bits as
+    blending a float64 copy.  The output is the row blend
+    ``top * (1 - fy) + bot * fy`` of those.  No temporary is larger than
+    twice the output, so asking for 64 rows of 800 columns at a time keeps
+    every temporary under ~1 MB.
     """
     image = np.asarray(image)
     in_h, in_w = image.shape
-    ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0, in_h - 1)
-    out_x = np.arange(*cols.indices(out_w))
-    xs = np.clip((out_x + 0.5) * in_w / out_w - 0.5, 0, in_w - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    if out_x.size:
+    y0, y1, fy = (a[rows] for a in _taps(in_h, out_h, 0, out_h, 1))
+    x0, x1, fx = _taps(in_w, out_w, *cols.indices(out_w))
+    if x0.size:
         # gather from the source columns these output columns blend
         first = x0.min()
         image = image[:, first : x1.max() + 1]
-        x0 -= first
-        x1 -= first
-    rows0, rows1 = image[y0], image[y1]
-    # top * (1 - fy) + bot * fy, with top and bot the column blends of the
-    # two source rows, evaluated in place to spare full-size temporaries
-    top = rows0[:, x0] * (1 - fx)
-    top += rows0[:, x1] * fx
-    bot = rows1[:, x0] * (1 - fx)
-    bot += rows1[:, x1] * fx
+        x0, x1 = x0 - first, x1 - first
+    # the column blend of each source row that these output rows read
+    src_rows, inverse = np.unique(np.concatenate((y0, y1)), return_inverse=True)
+    src = image[src_rows]
+    blend = src[:, x0].astype(np.float64)
+    right = src[:, x1].astype(np.float64)
+    blend *= 1 - fx
+    right *= fx
+    blend += right
+    top, bot = blend[inverse[: y0.size]], blend[inverse[y0.size :]]
+    fy = fy[:, None]
     top *= 1 - fy
     bot *= fy
     top += bot
@@ -66,6 +96,11 @@ def preprocess(image: np.ndarray, ann: Annotation) -> tuple[np.ndarray, Annotati
     Returns a uint8 plane of exactly (IMAGE_HEIGHT, IMAGE_WIDTH) and the
     transformed annotation.  Raises ``ValueError`` for any other image type,
     such as an (H, W, 3) or float array.
+
+    The canvas is filled ``BLOCK_ROWS`` rows at a time: each block is
+    resampled with ``resize_bilinear``, rounded in place and cast into its
+    band of the canvas, which gives the same bits as resampling the whole
+    canvas at once while keeping every temporary under ~1 MB.
     """
     image = np.asarray(image)
     if image.ndim != 2 or image.dtype != np.uint8:
@@ -85,11 +120,14 @@ def preprocess(image: np.ndarray, ann: Annotation) -> tuple[np.ndarray, Annotati
     # minus the left crop.  Only the columns that land are resampled.
     shift = (tw - w1) // 2 if w1 < tw else -((w1 - tw) // 2)
     lo, hi = max(0, -shift), min(w1, tw - shift)
-    band = resize_bilinear(image, th, w1, slice(lo, hi))
-    np.round(band, out=band)
-    np.clip(band, 0, 255, out=band)
     canvas = np.zeros((th, tw), dtype=np.uint8)
-    canvas[:, lo + shift : hi + shift] = band
+    for top in range(0, th, BLOCK_ROWS):
+        rows = slice(top, top + BLOCK_ROWS)
+        band = resize_bilinear(image, th, w1, slice(lo, hi), rows)
+        # a blend of uint8 values lies in [0, 255] up to a few ulps above,
+        # which rounding removes, so the cast needs no clip
+        np.round(band, out=band)
+        canvas[rows, lo + shift : hi + shift] = band
 
     objects = []
     for obj in ann.objects:

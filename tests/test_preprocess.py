@@ -1,3 +1,6 @@
+import hashlib
+from inspect import signature
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import raildet.preprocess
 from raildet.evaluation import GroundTruthObject
 from raildet.geometry import BBox
 from raildet.preprocess import preprocess, resize_bilinear
+from raildet.synth import synthesize_scene
 from raildet.voc import Annotation
 
 
@@ -178,6 +182,18 @@ class TestCropBeforeResample:
             full = resize_bilinear(image, 80, 61)
             assert np.array_equal(resize_bilinear(image, 80, 61, cols), full[:, cols])
 
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(5, 9), slice(0, 64), slice(64, 80),
+                                      slice(79, 80), slice(60, 200), slice(None, None, 7)])
+    def test_row_subset_bit_identical(self, rows):
+        rng = np.random.default_rng(44)
+        for image in (rng.integers(0, 256, (37, 29)).astype(np.uint8),
+                      rng.integers(0, 256, (250, 3)).astype(np.uint8),
+                      rng.uniform(0, 255, (5, 83))):
+            full = resize_bilinear(image, 80, 61)
+            assert np.array_equal(resize_bilinear(image, 80, 61, rows=rows), full[rows])
+            cols = slice(10, 50)
+            assert np.array_equal(resize_bilinear(image, 80, 61, cols, rows), full[rows, cols])
+
 
 def canvas_reference(image):
     """Resample every column the canvas shows, then pad or crop, then
@@ -214,12 +230,53 @@ class TestOneCanvasPath:
 
     @pytest.mark.parametrize("shape", [(100, 60), (200, 201)], ids=["pad", "crop"])
     def test_resamples_once(self, monkeypatch, shape):
+        # row blocks of one column band that tile the canvas height once:
+        # no canvas row is resampled twice
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return resize_bilinear(*args)
+        def counted(*args, **kwargs):
+            bound = signature(resize_bilinear).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return resize_bilinear(*args, **kwargs)
 
         monkeypatch.setattr(raildet.preprocess, "resize_bilinear", counted)
         preprocess(np.zeros(shape, dtype=np.uint8), ann_with(w=shape[1], h=shape[0]))
-        assert len(calls) == 1
+        assert len({(c["out_h"], c["out_w"], c["cols"].indices(c["out_w"])) for c in calls}) == 1
+        covered = []
+        for c in calls:
+            covered.extend(range(*c["rows"].indices(c["out_h"])))
+        assert sorted(covered) == list(range(1000))
+
+    # a 1-row image scales to at least 1000 columns, so it always crops
+    @pytest.mark.parametrize("shape", [
+        (h, max(round(h * ratio), 1))
+        for h in (1, 2, 63, 64, 65, 999, 1000, 1001, 1563, 2500)
+        for ratio in ((0.6, 1.1) if h > 1 else (1,))
+    ], ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def test_block_edges_equal_reference(self, shape):
+        rng = np.random.default_rng(45)
+        image = rng.integers(0, 256, shape).astype(np.uint8)
+        out, _ = preprocess(image, ann_with(w=shape[1], h=shape[0]))
+        assert np.array_equal(out, canvas_reference(image))
+
+
+def scaled_scene(seed, h, w):
+    """Synthetic scene ``seed`` scaled to h x w by nearest neighbour."""
+    scene = synthesize_scene(seed)[0]
+    ys = ((np.arange(h) + 0.5) * scene.shape[0] / h).astype(int)
+    xs = ((np.arange(w) + 0.5) * scene.shape[1] / w).astype(int)
+    return scene[np.ix_(ys, xs)]
+
+
+# one raw image of each ingest kind and the sha256 of its canvas, as the
+# whole-canvas resample gave it
+@pytest.mark.parametrize("seed, shape, digest", [
+    (0, (1300, 1200), "2b4483a1dd3710e84d63cc8d575504693c1ed51f42fde065d21dac99d81b8631"),
+    (1, (800, 720), "64ae6103bca8efbfb330c63b4a82f65be9f2ba5a1d458eef26ff02761a7f50b9"),
+    (2, (1300, 800), "a7906690a0dd02dd309ad5b43ecdb19f96b630f72a03b0b014cae7e08e5a4b41"),
+    (3, (800, 500), "1b74f9d08d85708af7d3ff52a1a70fb7b5e40fe028b158f8a9a51c91f9181419"),
+], ids=["crop-down", "crop-up", "pad-down", "pad-up"])
+def test_ingest_canvas_pinned(seed, shape, digest):
+    out, _ = preprocess(scaled_scene(seed, *shape), ann_with(w=shape[1], h=shape[0]))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
