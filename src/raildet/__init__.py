@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .geometry import BBox, BoxDelta, area, clip, decode, encode, iou
 from .anchors import AnchorConfig, base_anchors, tile
 from .assignment import AnchorAssignment, AnchorLabel, AssignmentConfig, assign
-from .proposal import ProposalConfig, ScoredBox, nms, propose
+from .proposal import ProposalConfig, Rois, ScoredBox, nms, propose
 from .ohem import OhemConfig, RoiLoss, ohem_round, roi_loss, select_hard
 from .evaluation import (
     CLASS_NAMES,
@@ -35,6 +35,7 @@ __all__ = [
     "AnchorLabel",
     "assign",
     "ProposalConfig",
+    "Rois",
     "ScoredBox",
     "nms",
     "propose",

@@ -1,10 +1,12 @@
 """End-to-end composition: single-image detection and the OHEM round.
 
-``detect`` chains backbone -> RPN -> proposal -> per-ROI pooling and
-classification -> per-class NMS.  ``ohem_simulation`` runs the read-only
-mining pass over a dataset and reports which ROIs came out hardest: it pools
-and scores all ROIs of an image in one batched call each and computes their
-losses as arrays, with results equal to the per-ROI ``ohem_round``.
+``detect`` chains backbone -> RPN -> proposal -> per-ROI pooling -> one
+batched classification pass -> per-class NMS.  The ROIs travel between the
+stages as the arrays of a :class:`~raildet.proposal.Rois`.
+``ohem_simulation`` runs the read-only mining pass over a dataset and
+reports which ROIs came out hardest: it pools and scores all ROIs of an
+image in one batched call each and computes their losses as arrays, with
+results equal to the per-ROI ``ohem_round``.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from .anchors import AnchorConfig, tile
 from .evaluation import CLASS_NAMES, Detection
 from .geometry import (
     BBOX_XFORM_CLIP,
+    BBox,
     BoxDelta,
     boxes_to_array,
     clip,
@@ -29,7 +32,7 @@ from .model import (
     IMAGE_HEIGHT,
     FeatureMap,
     ModelWeights,
-    detect_forward,
+    detect_forward,  # noqa: F401  (perfbench wraps the per-ROI head under this name)
     detect_forward_batch,
     extract_features,
     roi_pool,
@@ -39,7 +42,7 @@ from .model import (
 # ohem_round, the per-ROI reference of the mining round, stays importable
 # from here: perfbench wraps it under this name
 from .ohem import OhemConfig, RoiLoss, ohem_round  # noqa: F401
-from .proposal import ProposalConfig, ScoredBox, nms, propose
+from .proposal import ProposalConfig, Rois, ScoredBox, nms, propose
 from .voc import Annotation
 
 
@@ -107,7 +110,7 @@ class _stage:
 
 def _first_stage(
     image: np.ndarray, weights: ModelWeights, config: PipelineConfig
-) -> tuple[FeatureMap, list[ScoredBox]]:
+) -> tuple[FeatureMap, Rois]:
     """Backbone -> RPN -> anchors -> proposal: the feature map and the ROIs.
 
     Every layer is called through its name in this module, so a caller can
@@ -125,7 +128,7 @@ def _first_stage(
 
 def propose_rois(
     image: np.ndarray, weights: ModelWeights, config: PipelineConfig
-) -> list[ScoredBox]:
+) -> Rois:
     """Backbone + RPN + proposal stage for one preprocessed image."""
     return _first_stage(image, weights, config)[1]
 
@@ -133,26 +136,34 @@ def propose_rois(
 def detect(
     image: np.ndarray, weights: ModelWeights, config: PipelineConfig = PipelineConfig()
 ) -> list[Detection]:
-    """Detect fasteners in one preprocessed 800x1000 image."""
+    """Detect fasteners in one preprocessed 800x1000 image.
+
+    Each ROI is pooled on its own, then one batched head pass scores them
+    all; its rows equal per-ROI ``detect_forward`` calls.  Candidates come
+    in ROI order, then class order, before the per-class NMS.
+    """
     fm, rois = _first_stage(image, weights, config)
 
+    bins = config.roi_bins
+    pooled = np.empty((len(rois), bins, bins, fm.channels))
+    with _stage("roi_pool"):
+        boxes = [BBox(*box) for box in rois.boxes.tolist()]
+        for i, box in enumerate(boxes):
+            pooled[i] = roi_pool(fm, box, bins)
     img_w, img_h = image.shape[1], image.shape[0]
     candidates: list[Detection] = []
-    for roi in rois:
-        with _stage("roi_pool"):
-            pooled = roi_pool(fm, roi.box, config.roi_bins)
-        with _stage("rcnn"):
-            probs, cls_deltas = detect_forward(pooled, weights.det)
-            for ci, cls in enumerate(CLASS_NAMES):
-                p = float(probs[1 + ci])
-                if p <= config.score_threshold:
-                    continue
-                tx, ty, tw, th = cls_deltas[ci]
-                delta = BoxDelta(tx, ty, min(tw, BBOX_XFORM_CLIP), min(th, BBOX_XFORM_CLIP))
-                box = clip(decode(roi.box, delta), img_w, img_h)
-                if box.width <= 0 or box.height <= 0:
-                    continue
-                candidates.append(Detection(class_name=cls, box=box, score=p))
+    with _stage("rcnn"):
+        probs, cls_deltas = detect_forward_batch(pooled, weights.det)
+        # "not <=" keeps a NaN probability, which Detection then rejects
+        above = np.nonzero(~(probs[:, 1:] <= config.score_threshold))
+        for r, ci in zip(*(a.tolist() for a in above)):
+            tx, ty, tw, th = cls_deltas[r, ci].tolist()
+            delta = BoxDelta(tx, ty, min(tw, BBOX_XFORM_CLIP), min(th, BBOX_XFORM_CLIP))
+            box = clip(decode(boxes[r], delta), img_w, img_h)
+            if box.width <= 0 or box.height <= 0:
+                continue
+            score = float(probs[r, 1 + ci])
+            candidates.append(Detection(class_name=CLASS_NAMES[ci], box=box, score=score))
 
     final: list[Detection] = []
     for cls in CLASS_NAMES:
@@ -205,7 +216,7 @@ def ohem_simulation(
         fm, rois = _first_stage(image, weights, config)
         gt_boxes = [o.box for o in ann.objects]
         gt_classes = [1 + CLASS_NAMES.index(o.class_name) for o in ann.objects]
-        roi_arr = boxes_to_array([r.box for r in rois])
+        roi_arr = rois.boxes
 
         targets: list[tuple[int, BoxDelta | None]] = [(0, None)] * len(rois)
         if gt_boxes:
@@ -213,7 +224,7 @@ def ohem_simulation(
             best = ious.argmax(axis=1)
             for i in np.flatnonzero(ious[np.arange(len(rois)), best] > config.roi_fg_iou):
                 g = best[i]
-                targets[i] = (gt_classes[g], encode(rois[i].box, gt_boxes[g]))
+                targets[i] = (gt_classes[g], encode(BBox(*roi_arr[i].tolist()), gt_boxes[g]))
 
         with _stage("roi_pool"):
             pooled = roi_pool_batch(fm, roi_arr, config.roi_bins)

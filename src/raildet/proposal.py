@@ -4,6 +4,10 @@ The ROI budget (``post_nms_top``) defaults to 300; running the pipeline in
 reduced mode with a budget of 50 trades a little recall for per-ROI work in
 the second stage.
 
+``propose`` returns the ROIs as the arrays of a :class:`Rois`.  It ranks
+the anchors by score first and decodes only as far down that ranking as NMS
+reads; the ROIs are those of decoding every anchor and ranking afterwards.
+
 NMS walks the score-sorted boxes in blocks: each block is first checked
 against every box already kept, then its survivors suppress each other
 greedily.  The kept set is exactly that of one-box-at-a-time greedy NMS, and
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +28,7 @@ NMS_BLOCK = 256
 NMS_MIN_BLOCK = 64  # smallest block once few boxes are left to keep
 DECODE_CHUNK = 4096  # anchors decoded at a time
 FIRST_RANKS = 512  # boxes ranked for the first NMS pass
+TIE_PROBE_STRIDE = 64  # anchors per sample when looking for a long score tie
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,30 @@ class ScoredBox:
     def __post_init__(self):
         if not math.isfinite(self.score) or not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be finite and in [0, 1]: {self.score}")
+
+
+@dataclass(frozen=True, eq=False)
+class Rois:
+    """The ROIs of one image, best first, as arrays: ``boxes`` (R, 4) in
+    (x_min, y_min, x_max, y_max) order, objectness ``scores`` (R,) and the
+    index of the anchor each box was decoded from, ``anchor_indices`` (R,).
+
+    Iterating yields one :class:`ScoredBox` per ROI, for the I/O edges that
+    print them; the pipeline reads the arrays.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    anchor_indices: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self) -> Iterator[ScoredBox]:
+        for box, score, i in zip(
+            self.boxes.tolist(), self.scores.tolist(), self.anchor_indices.tolist()
+        ):
+            yield ScoredBox(box=BBox(*box), score=score, source_index=i)
 
 
 @dataclass(frozen=True)
@@ -119,11 +149,14 @@ def propose(
     image_w: float,
     image_h: float,
     config: ProposalConfig = ProposalConfig(),
-) -> list[ScoredBox]:
-    """Decode, clip, filter and NMS anchors into a ranked ROI list.
+) -> Rois:
+    """Rank, decode, clip, filter and NMS anchors into the image's ROIs.
 
     ``scores`` is (N,) objectness, ``deltas`` is (N, 4) in (tx, ty, tw, th)
     order, both aligned with the (N, 4) ``anchors`` of :func:`anchors.tile`.
+    Boxes are decoded only as far down the score ranking as NMS reads (see
+    :class:`_Walk`), but a delta or an anchor that cannot be decoded is an
+    error wherever it ranks.
     """
     scores = np.asarray(scores, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -136,36 +169,122 @@ def propose(
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite objectness score")
 
-    # tw/th are clamped so that a huge predicted scale cannot overflow exp.
-    # Decode is per box, so chunks keep its temporaries small.
-    boxes = np.empty((n, 4))
-    for start in range(0, n, DECODE_CHUNK):
+    # Greedy NMS is prefix-stable, so it first runs over the best
+    # FIRST_RANKS boxes only, and over the full pre_nms_top ranking only
+    # when those run out before the budget is met.
+    walk = _Walk(anchors, deltas, -scores, image_w, image_h, config.min_box_size)
+    first = min(FIRST_RANKS, config.pre_nms_top)
+    order, boxes = walk.top(first)
+    kept = _greedy_keep(boxes, config.nms_iou_threshold, max_keep=config.post_nms_top)
+    if len(kept) < config.post_nms_top and len(order) == first < config.pre_nms_top:
+        order, boxes = walk.top(config.pre_nms_top)
+        if len(order) > first:
+            kept = _greedy_keep(boxes, config.nms_iou_threshold, max_keep=config.post_nms_top)
+
+    sel = order[kept]
+    picked = scores[sel]
+    if not np.all((picked >= 0.0) & (picked <= 1.0)):
+        raise ValueError("objectness score outside [0, 1]")
+    return Rois(boxes=boxes[kept], scores=picked, anchor_indices=sel)
+
+
+class _Walk:
+    """The boxes that pass the min-size filter, in (-score, anchor index)
+    order, decoded only as deep into that ranking as :meth:`top` asks.
+
+    The filter is per box and the order is total, so the first k survivors
+    are those of a full decode ranked afterwards.  Each window of the
+    ranking ends at the k-th smallest ``neg`` and holds every anchor below
+    that value plus the lowest-indexed ones tied with it.  When a window
+    ends inside a run of ties longer than itself, or would reach past half
+    of the anchors, ranking it would cost more than decoding everything:
+    the walk then decodes every anchor in index order and ranks the
+    survivors with :func:`_rank`.
+    """
+
+    def __init__(self, anchors, deltas, neg, image_w, image_h, min_size):
+        self.anchors, self.deltas, self.neg = anchors, deltas, neg
+        self.canvas = (image_w, image_h)
+        self.min_size = min_size
+        self.sorted = None  # neg, sorted once a window needs its k-th value
+        self.depth = 0  # ranks decoded so far
+        self.idx = np.empty(0, dtype=np.intp)  # survivors, ranked
+        self.boxes = np.empty((0, 4))
+        self.everything = False  # every anchor decoded, in index order
+
+    def top(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Anchor indices and boxes of the best ``count`` survivors."""
+        n = len(self.neg)
+        while not self.everything and len(self.idx) < count and self.depth < n:
+            end = min(n, max(count, 2 * self.depth))
+            last = self._last(end)
+            if last is None:
+                boxes = _decode_clip(self.anchors, self.deltas, *self.canvas)
+                self.idx = np.flatnonzero(_passes(boxes, self.min_size))
+                self.boxes = boxes[self.idx]
+                self.everything = True
+                break
+            if self.depth == 0:  # the decode errors of the anchors never reached
+                _check_decodable(self.anchors, self.deltas)
+            near = np.flatnonzero(self.neg <= last)
+            ranks = near[np.argsort(self.neg[near], kind="stable")[self.depth : end]]
+            boxes = _decode_clip(self.anchors[ranks], self.deltas[ranks], *self.canvas)
+            keep = _passes(boxes, self.min_size)
+            self.idx = np.concatenate((self.idx, ranks[keep]))
+            self.boxes = np.concatenate((self.boxes, boxes[keep]))
+            self.depth = end
+        if self.everything:
+            pos = _rank(np.arange(len(self.idx)), self.neg[self.idx], count)
+            return self.idx[pos], self.boxes[pos]
+        return self.idx[:count], self.boxes[:count]
+
+    def _last(self, end: int) -> float | None:
+        """The ``end``-th smallest ``neg``, or None where the walk stops."""
+        n = len(self.neg)
+        if 2 * end > n:
+            return None
+        if self.sorted is None:
+            # A sparse head gives most anchors one background score, and
+            # the median of a strided sample lands in that run.  Whether a
+            # window ends inside it takes two counts instead of a sort.
+            sample = np.sort(self.neg[::TIE_PROBE_STRIDE])
+            probe = sample[len(sample) // 2]
+            below = np.count_nonzero(self.neg < probe)
+            if below < end and np.count_nonzero(self.neg == probe) > end:
+                return None
+            self.sorted = np.sort(self.neg)
+        last = self.sorted[end - 1]
+        ties = np.searchsorted(self.sorted, last, "right") - np.searchsorted(
+            self.sorted, last, "left"
+        )
+        return None if ties > end else last
+
+
+def _decode_clip(anchors, deltas, image_w, image_h) -> np.ndarray:
+    """Decode with tw/th clamped so that a huge predicted scale cannot
+    overflow exp, then clip.  Decode is per box, so chunks of DECODE_CHUNK
+    rows keep its temporaries small."""
+    boxes = np.empty((len(anchors), 4))
+    for start in range(0, len(anchors), DECODE_CHUNK):
         rows = slice(start, start + DECODE_CHUNK)
         decode_array(anchors[rows], deltas[rows], out=boxes[rows],
                      max_log_scale=BBOX_XFORM_CLIP)
-    clip_array(boxes, image_w, image_h, out=boxes)
-    widths = boxes[:, 2] - boxes[:, 0]
-    heights = boxes[:, 3] - boxes[:, 1]
-    keep = (widths >= config.min_box_size) & (heights >= config.min_box_size)
-    idx = np.nonzero(keep)[0]
-    if idx.size == 0:
-        return []
+    return clip_array(boxes, image_w, image_h, out=boxes)
 
-    # Rank by score, ties by anchor index.  Greedy NMS is prefix-stable, so
-    # it first runs over the best FIRST_RANKS boxes only, and over the full
-    # pre_nms_top ranking only when those run out before the budget is met.
-    neg = -scores[idx]
-    order = _rank(idx, neg, min(FIRST_RANKS, config.pre_nms_top))
-    kept = _greedy_keep(boxes[order], config.nms_iou_threshold, max_keep=config.post_nms_top)
-    if len(kept) < config.post_nms_top and order.size < min(idx.size, config.pre_nms_top):
-        order = _rank(idx, neg, config.pre_nms_top)
-        kept = _greedy_keep(boxes[order], config.nms_iou_threshold, max_keep=config.post_nms_top)
 
-    sel = order[kept]
-    return [
-        ScoredBox(box=BBox(*box), score=score, source_index=i)
-        for box, score, i in zip(boxes[sel].tolist(), scores[sel].tolist(), sel.tolist())
-    ]
+def _passes(boxes: np.ndarray, min_size: float) -> np.ndarray:
+    return (boxes[:, 2] - boxes[:, 0] >= min_size) & (boxes[:, 3] - boxes[:, 1] >= min_size)
+
+
+def _check_decodable(anchors: np.ndarray, deltas: np.ndarray) -> None:
+    """``decode_array``'s errors for every anchor, clamped tw/th included."""
+    if np.any(anchors[:, 2] - anchors[:, 0] <= 0) or np.any(anchors[:, 3] - anchors[:, 1] <= 0):
+        raise ValueError("degenerate anchor")
+    # +inf tw/th is clamped to BBOX_XFORM_CLIP; NaN fails both tests
+    if not np.isfinite(deltas).all() and not (
+        np.isfinite(deltas[:, :2]).all() and (deltas[:, 2:] > -np.inf).all()
+    ):
+        raise ValueError("non-finite delta")
 
 
 def _rank(idx: np.ndarray, neg: np.ndarray, top: int) -> np.ndarray:

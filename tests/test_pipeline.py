@@ -11,11 +11,20 @@ from raildet.config import (
     parse_config,
     with_post_nms_top,
 )
-from raildet.evaluation import CLASS_NAMES, EvalConfig, evaluate
-from raildet.geometry import BoxDelta, boxes_to_array, encode, iou_matrix
+from raildet.evaluation import CLASS_NAMES, Detection, EvalConfig, evaluate
+from raildet.geometry import (
+    BBOX_XFORM_CLIP,
+    BoxDelta,
+    boxes_to_array,
+    clip,
+    decode,
+    encode,
+    iou_matrix,
+)
 from raildet.model import detect_forward, random_weights, roi_pool
 from raildet.ohem import ohem_round
 from raildet.oracle import build_oracle_weights, oracle_pipeline_config
+from raildet.proposal import ScoredBox, nms
 from raildet.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -112,7 +121,7 @@ class TestDetect:
     def test_failure_is_tagged_with_its_stage(self, oracle, monkeypatch, stage):
         config, weights = oracle
         layer = {"backbone": "extract_features", "rpn": "rpn_forward",
-                 "proposal": "propose", "roi_pool": "roi_pool", "rcnn": "detect_forward"}
+                 "proposal": "propose", "roi_pool": "roi_pool", "rcnn": "detect_forward_batch"}
 
         def broken(*args, **kwargs):
             raise ValueError("boom")
@@ -130,6 +139,92 @@ class TestDetect:
             detect(image, weights, config)
         assert info.value.stage == "backbone"
         assert "uint8" in str(info.value)
+
+
+def _detect_reference(image, weights, config):
+    """``detect`` with one ``roi_pool`` and one ``detect_forward`` call per
+    ROI, candidates in ROI order, then class order."""
+    fm, rois = pipeline._first_stage(image, weights, config)
+    candidates = []
+    for roi in rois:
+        probs, deltas = detect_forward(roi_pool(fm, roi.box, config.roi_bins), weights.det)
+        for ci, cls in enumerate(CLASS_NAMES):
+            p = float(probs[1 + ci])
+            if p <= config.score_threshold:
+                continue
+            tx, ty, tw, th = deltas[ci]
+            delta = BoxDelta(tx, ty, min(tw, BBOX_XFORM_CLIP), min(th, BBOX_XFORM_CLIP))
+            box = clip(decode(roi.box, delta), image.shape[1], image.shape[0])
+            if box.width > 0 and box.height > 0:
+                candidates.append(Detection(class_name=cls, box=box, score=p))
+    final = []
+    for cls in CLASS_NAMES:
+        group = [d for d in candidates if d.class_name == cls]
+        scored = [ScoredBox(box=d.box, score=d.score, source_index=i) for i, d in enumerate(group)]
+        final.extend(group[i] for i in nms(scored, config.final_nms_iou))
+    final.sort(key=lambda d: -d.score)
+    return final
+
+
+class TestBatchedDetect:
+    """``detect`` pools each ROI on its own and scores them all in one
+    batched head pass; the detections must equal the per-ROI path."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("seed, scale", [(0, 0.05), (1, 0.5), (2, 0.5)])
+    def test_equals_per_roi_reference(self, seed, scale, threshold):
+        config = parse_config(f"pipeline.score_threshold={threshold}")
+        weights = random_weights(seed, scale=scale)
+        image, _ = synthesize_scene(seed + 3)
+        got = detect(image, weights, config)
+        want = _detect_reference(image, weights, config)
+        assert got == want
+        if threshold < 0.5:
+            assert got  # the candidate loop and the final NMS both ran
+
+    def test_oracle_equals_per_roi_reference(self, oracle):
+        config, weights = oracle
+        image, _ = synthesize_scene(8)
+        assert detect(image, weights, config) == _detect_reference(image, weights, config)
+
+    def test_one_batched_head_call_per_image(self, monkeypatch):
+        config = oracle_pipeline_config()
+        weights = random_weights(0)
+        calls = {"roi_pool": 0, "detect_forward_batch": 0}
+
+        def counted(name):
+            original = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counted(name))
+
+        def per_roi(*args, **kwargs):
+            raise AssertionError("per-ROI head called by detect")
+
+        monkeypatch.setattr(pipeline, "detect_forward", per_roi)
+        images = [synthesize_scene(s)[0] for s in range(2)]
+        rois = sum(len(propose_rois(image, weights, config)) for image in images)
+        for image in images:
+            detect(image, weights, config)
+        assert calls == {"roi_pool": rois, "detect_forward_batch": len(images)}
+        assert rois == 2 * config.proposal.post_nms_top
+
+    def test_empty_rois_pass_through(self, oracle):
+        # no anchor survives a min-size filter larger than the canvas
+        config = parse_config("proposal.min_box_size=2000")
+        _, weights = oracle
+        image, ann = synthesize_scene(0)
+        rois = propose_rois(image, weights, config)
+        assert len(rois) == 0 and rois.boxes.shape == (0, 4)
+        assert detect(image, weights, config) == []
+        (res,) = ohem_simulation([(image, ann)], weights, config).per_image
+        assert res.selected == [] and res.losses == [] and res.roi_classes == []
 
 
 class TestProposeRois:

@@ -106,7 +106,7 @@ class TestPropose:
             chosen.append(cell * 9 + 4)
         for i in chosen:
             scores[i] = 1.0
-        out = propose(grid, scores, deltas, 160, 160)
+        out = list(propose(grid, scores, deltas, 160, 160))
         assert [r.source_index for r in out[:6]] == sorted(chosen)
         assert all(r.score == 1.0 for r in out[:6])
 
@@ -146,7 +146,7 @@ class TestPropose:
         scores = np.ones(n)
         deltas = np.zeros((n, 4))
         deltas[:, 2] = -10.0  # shrink widths to ~0
-        assert propose(grid, scores, deltas, 160, 160) == []
+        assert list(propose(grid, scores, deltas, 160, 160)) == []
 
     def test_boxes_clipped_to_canvas(self):
         grid = self._grid()
@@ -183,7 +183,7 @@ class TestPropose:
         scores[i] = 1.0
         deltas = np.zeros((len(grid), 4))
         deltas[i] = (0.0, 0.0, 800.0, 800.0)
-        top = propose(grid, scores, deltas, 2000, 2000)[0]
+        top = list(propose(grid, scores, deltas, 2000, 2000))[0]
         assert top.source_index == i
         # tw = th = log(1000/16): the anchor grows to 1000x1000 around its
         # center, then the canvas clips the negative corner
@@ -263,14 +263,14 @@ class TestChunkedDecode:
         grid, scores, deltas = self._inputs(seed, 50, 62)
         assert len(grid) % proposal.DECODE_CHUNK != 0
         for config in (ProposalConfig(), ProposalConfig(post_nms_top=10, pre_nms_top=500)):
-            assert (propose(grid, scores, deltas, 800, 1000, config)
+            assert (list(propose(grid, scores, deltas, 800, 1000, config))
                     == unchunked_propose(grid, scores, deltas, 800, 1000, config))
 
     @pytest.mark.parametrize("chunk", [1, 7, 90, 4096])
     def test_any_chunk_size_equals_unchunked(self, monkeypatch, chunk):
         grid, scores, deltas = self._inputs(2, 5, 4)  # 180 anchors
         monkeypatch.setattr(proposal, "DECODE_CHUNK", chunk)
-        assert (propose(grid, scores, deltas, 80, 64)
+        assert (list(propose(grid, scores, deltas, 80, 64))
                 == unchunked_propose(grid, scores, deltas, 80, 64))
 
     def test_non_finite_delta_in_a_later_chunk_raises(self, monkeypatch):
@@ -373,21 +373,21 @@ class TestRankingWindow:
         assert np.count_nonzero(scores == 0.25) == 27_873
         deltas = rng.normal(0, 0.2, (len(grid), 4))
         for config in (ProposalConfig(), ProposalConfig(post_nms_top=50, pre_nms_top=600)):
-            assert (propose(grid, scores, deltas, 800, 1000, config)
+            assert (list(propose(grid, scores, deltas, 800, 1000, config))
                     == unchunked_propose(grid, scores, deltas, 800, 1000, config))
 
     @pytest.mark.parametrize("pre", [1, 10, 100, proposal.FIRST_RANKS - 1])
     def test_pre_nms_top_below_the_window(self, pre):
         grid, scores, deltas = _full_grid_inputs(21, levels=3)
         config = ProposalConfig(pre_nms_top=pre, post_nms_top=min(pre, 50))
-        assert (propose(grid, scores, deltas, 800, 1000, config)
+        assert (list(propose(grid, scores, deltas, 800, 1000, config))
                 == unchunked_propose(grid, scores, deltas, 800, 1000, config))
 
     @pytest.mark.parametrize("budget", [1, 10, 50, 300])
     def test_budgets(self, budget):
         grid, scores, deltas = _full_grid_inputs(22)
         config = ProposalConfig(post_nms_top=budget)
-        got = propose(grid, scores, deltas, 800, 1000, config)
+        got = list(propose(grid, scores, deltas, 800, 1000, config))
         assert got == unchunked_propose(grid, scores, deltas, 800, 1000, config)
         assert len(got) == budget
 
@@ -404,7 +404,7 @@ class TestRankingWindow:
 
         monkeypatch.setattr(proposal, "FIRST_RANKS", first)
         monkeypatch.setattr(proposal, "_greedy_keep", counted)
-        assert propose(grid, scores, deltas, 800, 1000, config) == want
+        assert list(propose(grid, scores, deltas, 800, 1000, config)) == want
         assert calls == [first, config.pre_nms_top]  # the window ran out first
 
 
@@ -416,3 +416,123 @@ def test_budget_sized_blocks_match_brute_force(n, max_keep):
     arr = np.array([b.box.as_tuple() for b in boxes])
     for thr in (0.3, 0.7):
         assert _greedy_keep(arr, thr, max_keep=max_keep) == brute_force_nms(tied, thr)[:max_keep]
+
+
+# ---------------------------------------------------------------------------
+# The rank-first walk and the Rois record
+# ---------------------------------------------------------------------------
+
+class TestRankFirstWalk:
+    """``propose`` decodes only as far down the score ranking as NMS reads;
+    the ROIs must equal those of ``unchunked_propose`` on either path."""
+
+    def _distinct(self, seed, spread=0.3):
+        grid = tile(AnchorConfig(), 50, 62)
+        rng = np.random.default_rng(seed)
+        return grid, rng.uniform(0, 1, len(grid)), rng.normal(0, spread, (len(grid), 4))
+
+    def _decoded_rows(self, monkeypatch):
+        rows = []
+        original = proposal._decode_clip
+
+        def counted(anchors, *args):
+            rows.append(len(anchors))
+            return original(anchors, *args)
+
+        monkeypatch.setattr(proposal, "_decode_clip", counted)
+        return rows
+
+    @pytest.mark.parametrize("budget", [1, 10, 50, 300])
+    def test_distinct_scores_decode_a_prefix(self, monkeypatch, budget):
+        grid, scores, deltas = self._distinct(30)
+        config = ProposalConfig(post_nms_top=budget)
+        want = unchunked_propose(grid, scores, deltas, 800, 1000, config)
+        rows = self._decoded_rows(monkeypatch)
+        got = propose(grid, scores, deltas, 800, 1000, config)
+        assert list(got) == want
+        assert sum(rows) < len(grid) // 2
+
+    def test_top_ranked_boxes_fail_the_filter(self, monkeypatch):
+        grid, scores, deltas = self._distinct(31)
+        ranked = np.argsort(-scores, kind="stable")
+        deltas[ranked[:1500:2], 2] = -12.0  # half of the best 1,500 shrink below min size
+        deltas[ranked[1500:2600], 3] = -12.0  # and every box of the next 1,100
+        config = ProposalConfig(pre_nms_top=3000, nms_iou_threshold=0.3)
+        want = unchunked_propose(grid, scores, deltas, 800, 1000, config)
+        rows = self._decoded_rows(monkeypatch)
+        assert list(propose(grid, scores, deltas, 800, 1000, config)) == want
+        assert len(rows) > 1 and sum(rows) < len(grid)  # the walk went on past one window
+
+    @pytest.mark.parametrize("run", [100, proposal.FIRST_RANKS, proposal.FIRST_RANKS + 1, 3000])
+    def test_tie_across_the_window_end(self, monkeypatch, run):
+        grid, scores, deltas = self._distinct(32)
+        ranked = np.argsort(-scores, kind="stable")
+        scores[ranked[400 : 400 + run]] = scores[ranked[400]]  # a tie from rank 400 on
+        rows = self._decoded_rows(monkeypatch)
+        for config in (ProposalConfig(), ProposalConfig(pre_nms_top=2000, post_nms_top=10),
+                       ProposalConfig(nms_iou_threshold=0.1)):
+            assert (list(propose(grid, scores, deltas, 800, 1000, config))
+                    == unchunked_propose(grid, scores, deltas, 800, 1000, config))
+        # a tie longer than the first window sends it to the full decode
+        assert (rows[0] == len(grid)) == (run > proposal.FIRST_RANKS)
+
+    def test_background_tie_decodes_every_anchor_once(self, monkeypatch):
+        grid = tile(AnchorConfig(), 50, 62)
+        rng = np.random.default_rng(33)
+        scores = np.full(len(grid), 1e-9)
+        scores[rng.choice(len(grid), 200, replace=False)] = 1e-12  # below the run
+        scores[rng.choice(len(grid), 6, replace=False)] = 1.0
+        deltas = rng.normal(0, 0.2, (len(grid), 4))
+        rows = self._decoded_rows(monkeypatch)
+        got = propose(grid, scores, deltas, 800, 1000)
+        assert list(got) == unchunked_propose(grid, scores, deltas, 800, 1000)
+        assert rows == [len(grid)]
+
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    def test_nan_delta_past_the_walk_raises(self, monkeypatch, column):
+        grid, scores, deltas = self._distinct(34)
+        last = int(np.argmin(scores))  # ranked last, never decoded by the walk
+        deltas[last, column] = np.nan
+        rows = self._decoded_rows(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite delta"):
+            propose(grid, scores, deltas, 800, 1000)
+        assert rows == []  # raised before any decode
+
+    def test_infinite_log_scale_past_the_walk_is_clamped(self):
+        grid, scores, deltas = self._distinct(35)
+        deltas[int(np.argmin(scores)), 2:] = np.inf
+        assert len(propose(grid, scores, deltas, 800, 1000)) == 300
+        deltas[int(np.argmin(scores)), 3] = -np.inf
+        with pytest.raises(ValueError, match="non-finite delta"):
+            propose(grid, scores, deltas, 800, 1000)
+
+    def test_degenerate_anchor_past_the_walk_raises(self):
+        grid, scores, deltas = self._distinct(36)
+        grid = grid.copy()  # tile's arrays are memoised and read-only
+        last = int(np.argmin(scores))
+        grid[last, 2] = grid[last, 0]
+        with pytest.raises(ValueError, match="degenerate anchor"):
+            propose(grid, scores, deltas, 800, 1000)
+
+    def test_rois_arrays_and_iteration(self):
+        grid, scores, deltas = self._distinct(37)
+        rois = propose(grid, scores, deltas, 800, 1000, ProposalConfig(post_nms_top=50))
+        assert isinstance(rois, proposal.Rois)
+        assert rois.boxes.shape == (50, 4) and rois.scores.shape == (50,)
+        assert rois.anchor_indices.dtype.kind == "i"
+        assert np.array_equal(rois.scores, scores[rois.anchor_indices])
+        listed = list(rois)
+        assert [r.source_index for r in listed] == rois.anchor_indices.tolist()
+        assert [r.box.as_tuple() for r in listed] == [tuple(b) for b in rois.boxes.tolist()]
+
+    def test_no_survivor_is_an_empty_rois(self):
+        grid, scores, deltas = self._distinct(38)
+        rois = propose(grid, scores, deltas, 800, 1000, ProposalConfig(min_box_size=2000.0))
+        assert len(rois) == 0 and list(rois) == []
+        assert rois.boxes.shape == (0, 4)
+
+    def test_score_outside_unit_interval_raises(self):
+        grid, scores, deltas = self._distinct(39)
+        scores[int(np.argmax(scores))] = 1.5
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            propose(grid, scores, deltas, 800, 1000)
