@@ -331,8 +331,9 @@ def cmd_render(args) -> int:
         color = RENDER_COLORS[det.class_name]
         x0 = min(int(round(b.x_min)), w - 1)
         y0 = min(int(round(b.y_min)), h - 1)
-        x1 = min(int(round(b.x_max)) - 1, w - 1)
-        y1 = min(int(round(b.y_max)) - 1, h - 1)
+        # a sub-pixel box would end at -1, which indexes the far edge
+        x1 = max(min(int(round(b.x_max)) - 1, w - 1), x0)
+        y1 = max(min(int(round(b.y_max)) - 1, h - 1), y0)
         image[y0, x0 : x1 + 1] = color
         image[y1, x0 : x1 + 1] = color
         image[y0 : y1 + 1, x0] = color

@@ -12,11 +12,13 @@ with down-sampling; the pipeline's ``anchors.stride`` picks one.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .evaluation import CLASS_NAMES
 from .geometry import BBox
 
@@ -38,6 +40,16 @@ NUM_CLASSES = 1 + len(CLASS_NAMES)  # background + the fastener categories
 
 BACKBONE_STRIDES = (16, 32)  # stage 4; stage 5 with down-sampling
 RPN_DIM = 256  # intermediate conv width of generated RPN heads
+
+# RPN products below this many FLOPs (counted over the live channels) run on
+# one BLAS thread.  On 2 x86-64 cores the oracle head at stride 16 (19 live
+# channels, ~14 MFLOP) ran its conv in 0.39 ms on two threads and 0.45 ms on
+# one, while the spinning second thread doubled the CPU time of an oracle
+# image (perfbench oracle-corpus: 10.5 -> 5.6 CPU ms per image, images/s
+# -1.5%).  A 256-channel head (~185 MFLOP at stride 16, ~46 at stride 32)
+# keeps the caller's count: its conv took 1.58 ms on two threads and 2.33 ms
+# on one, and its last bits depend on the count.
+SMALL_RPN_FLOPS = 2**25
 
 
 @dataclass(frozen=True)
@@ -196,7 +208,8 @@ def rpn_forward(fm: FeatureMap, head: RpnHead) -> tuple[np.ndarray, np.ndarray]:
     per anchor, with ``k = head.k`` -- and ``deltas`` of shape (H*W*k, 4),
     both in the row-major-cells-then-anchor order of :func:`anchors.tile`.
     Intermediate channels that can only add exact zeros are left out of
-    every product (see :func:`_live_channels`).
+    every product (see :func:`_live_channels`).  Products smaller than
+    ``SMALL_RPN_FLOPS`` run on one BLAS thread.
     """
     if fm.channels != head.conv_w.shape[1]:
         raise ValueError("feature channels do not match the head")
@@ -205,21 +218,24 @@ def rpn_forward(fm: FeatureMap, head: RpnHead) -> tuple[np.ndarray, np.ndarray]:
     if live is not None:
         conv_w, conv_b = conv_w[live], conv_b[live]
         score_w, delta_w = score_w[:, live], delta_w[:, live]
-    inter = conv2d_3x3(fm.data, conv_w, conv_b)
-    np.maximum(inter, 0.0, out=inter)
     h, w, k = fm.height, fm.width, head.k
-    flat = inter.reshape(len(conv_b), h * w)
-    # biases and the stable softmax over each (background, foreground) pair
-    # go in place: every copy of a head product raises the per-image peak of
-    # transient memory, which the allocator may hand back and fault in again
-    logits = score_w @ flat
-    logits += head.score_b[:, None]
-    logits = logits.reshape(k, 2, h, w)
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits, out=logits)
-    scores = (e[:, 1] / e.sum(axis=1)).transpose(1, 2, 0).reshape(-1)
-    deltas = delta_w @ flat
-    deltas += head.delta_b[:, None]
+    flops = 2 * h * w * (conv_w.size + score_w.size + delta_w.size)
+    with blas.single_thread() if flops < SMALL_RPN_FLOPS else nullcontext():
+        inter = conv2d_3x3(fm.data, conv_w, conv_b)
+        np.maximum(inter, 0.0, out=inter)
+        flat = inter.reshape(len(conv_b), h * w)
+        # biases and the stable softmax over each (background, foreground)
+        # pair go in place: every copy of a head product raises the
+        # per-image peak of transient memory, which the allocator may hand
+        # back and fault in again
+        logits = score_w @ flat
+        logits += head.score_b[:, None]
+        logits = logits.reshape(k, 2, h, w)
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits, out=logits)
+        scores = (e[:, 1] / e.sum(axis=1)).transpose(1, 2, 0).reshape(-1)
+        deltas = delta_w @ flat
+        deltas += head.delta_b[:, None]
     return scores, deltas.reshape(k, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4)
 
 

@@ -589,6 +589,25 @@ class TestCliFaults:
         assert rc == 0, err
         assert np.all(read_ppm(out)[edge] == RENDER_COLORS["V"])
 
+    # a sub-pixel box whose max edge rounds to 0 is outlined on column or
+    # row 0, not on the far edge of the image
+    @pytest.mark.parametrize("box, edge", [
+        ((0.2, 10, 0.4, 20), np.s_[10:20, 0:1]),
+        ((10, 0.1, 20, 0.3), np.s_[0:1, 10:20]),
+    ])
+    def test_render_sub_pixel_box_at_the_origin(self, tmp_path, box, edge):
+        img = tmp_path / "a.ppm"
+        write_ppm(img, np.full((40, 80, 3), 7, dtype=np.uint8))
+        dets = tmp_path / "tiny.csv"
+        write_detections_csv(dets, [(img.name, Detection("V", BBox(*box), 0.9))])
+        out = tmp_path / "o.ppm"
+        rc, err = run_process("render", "--image", str(img), "--dets", str(dets),
+                              "--out", str(out))
+        assert rc == 0, err
+        painted = np.any(read_ppm(out) != 7, axis=2)
+        assert np.all(painted[edge])
+        assert painted.sum() == painted[edge].size
+
     @pytest.mark.parametrize("sources", [[], ["--image", "x.ppm", "--images", "."]])
     def test_detect_takes_exactly_one_image_source(self, tmp_path, sources):
         rc, err = run_process("detect", *sources, "--out", str(tmp_path / "d.csv"))
