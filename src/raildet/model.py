@@ -12,7 +12,6 @@ with down-sampling; the pipeline's ``anchors.stride`` picks one.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +47,10 @@ RPN_DIM = 256  # intermediate conv width of generated RPN heads
 # image (perfbench oracle-corpus: 10.5 -> 5.6 CPU ms per image, images/s
 # -1.5%).  A 256-channel head (~185 MFLOP at stride 16, ~46 at stride 32)
 # keeps the caller's count: its conv took 1.58 ms on two threads and 2.33 ms
-# on one, and its last bits depend on the count.
+# on one, and its last bits depend on the count.  The BLAS workers are
+# started before its products and stopped after them instead, so they do
+# not spin through the rest of the image (perfbench dense-rois: CPU per
+# image ~2x wall before).
 SMALL_RPN_FLOPS = 2**25
 
 
@@ -209,7 +211,9 @@ def rpn_forward(fm: FeatureMap, head: RpnHead) -> tuple[np.ndarray, np.ndarray]:
     both in the row-major-cells-then-anchor order of :func:`anchors.tile`.
     Intermediate channels that can only add exact zeros are left out of
     every product (see :func:`_live_channels`).  Products smaller than
-    ``SMALL_RPN_FLOPS`` run on one BLAS thread.
+    ``SMALL_RPN_FLOPS`` run on one BLAS thread; larger ones keep the
+    caller's count, and the BLAS worker threads are stopped after them
+    (:func:`raildet.blas.stop_workers_after`).
     """
     if fm.channels != head.conv_w.shape[1]:
         raise ValueError("feature channels do not match the head")
@@ -220,7 +224,7 @@ def rpn_forward(fm: FeatureMap, head: RpnHead) -> tuple[np.ndarray, np.ndarray]:
         score_w, delta_w = score_w[:, live], delta_w[:, live]
     h, w, k = fm.height, fm.width, head.k
     flops = 2 * h * w * (conv_w.size + score_w.size + delta_w.size)
-    with blas.single_thread() if flops < SMALL_RPN_FLOPS else nullcontext():
+    with blas.single_thread() if flops < SMALL_RPN_FLOPS else blas.stop_workers_after():
         inter = conv2d_3x3(fm.data, conv_w, conv_b)
         np.maximum(inter, 0.0, out=inter)
         flat = inter.reshape(len(conv_b), h * w)

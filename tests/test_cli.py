@@ -350,6 +350,13 @@ class TestBench:
         ratio = float(out.splitlines()[-1].split()[-1].rstrip("x"))
         assert ratio > 1.0
 
+    def test_prints_median_cpu_ms(self, capsys):
+        assert run("bench", "--rois", "300,50", "--repeat", "3") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["rois", "median_ms", "iqr_ms", "cpu_ms"]
+        for line in lines[1:3]:
+            assert float(line.split()[3]) > 0, line
+
     def test_single_repeat_iqr_na(self, capsys):
         assert run("bench", "--rois", "100", "--repeat", "1") == 0
         assert "n/a" in capsys.readouterr().out
