@@ -6,7 +6,7 @@ from .geometry import BBox, BoxDelta, area, clip, decode, encode, iou
 from .anchors import AnchorConfig, base_anchors, tile
 from .assignment import AnchorAssignment, AnchorLabel, AssignmentConfig, assign
 from .proposal import ProposalConfig, Rois, ScoredBox, nms, propose
-from .ohem import OhemConfig, RoiLoss, ohem_round, roi_loss, select_hard
+from .ohem import OhemConfig, RoiLoss, select_hard
 from .evaluation import (
     CLASS_NAMES,
     Detection,
@@ -41,9 +41,7 @@ __all__ = [
     "propose",
     "OhemConfig",
     "RoiLoss",
-    "roi_loss",
     "select_hard",
-    "ohem_round",
     "CLASS_NAMES",
     "Detection",
     "GroundTruthObject",

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, dump_config, load_config, with_post_nms_top
-from .dataio import read_detections_csv, split, write_detections_csv, write_split_manifest
+from .dataio import read_detections_csv, write_detections_csv
 from .evaluation import CLASS_NAMES, EvalConfig, evaluate
 from .model import NUM_CHANNELS, load_weights, random_weights, save_weights
 from .oracle import build_oracle_weights
@@ -170,16 +170,13 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--count must not be negative, got {args.count}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
     for i in range(args.count):
         image, ann = synthesize_scene(args.seed + i)
         name = f"scene_{args.seed + i:06d}"
         write_ppm(out_dir / f"{name}.ppm", image)
         ann = dataclasses.replace(ann, image_filename=f"{name}.ppm")
         (out_dir / f"{name}.xml").write_bytes(write_voc(ann))
-        names.append(f"{name}.ppm")
         _log(f"synth {name}.ppm: {len(ann.objects)} objects")
-    write_split_manifest(out_dir / "split.txt", split(names, seed=args.seed))
     _manifest(args, "synth", "-", str(out_dir), seed=args.seed).write(out_dir / "manifest.txt")
     return 0
 

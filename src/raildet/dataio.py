@@ -1,64 +1,11 @@
-"""Dataset splitting and the small text file formats of the pipeline."""
+"""The detections CSV: the pipeline's output, read back by ``eval`` and ``render``."""
 from __future__ import annotations
 
 import csv
-import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .evaluation import Detection
 from .geometry import BBox
-
-
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: tuple
-    val: tuple
-
-    def __post_init__(self):
-        overlap = set(self.train) & set(self.val)
-        if overlap:
-            raise ValueError(f"train/val overlap: {sorted(overlap)[:3]}")
-
-
-def split(items: Sequence, seed: int = 0, train_fraction: float = 0.75) -> DatasetSplit:
-    """Deterministic shuffled 3:1 train/val split (exact when divisible by 4)."""
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError("train_fraction must be in (0, 1)")
-    shuffled = list(items)
-    random.Random(seed).shuffle(shuffled)
-    n_train = round(len(shuffled) * train_fraction)
-    return DatasetSplit(train=tuple(shuffled[:n_train]), val=tuple(shuffled[n_train:]))
-
-
-def write_split_manifest(path, ds: DatasetSplit) -> None:
-    """Sections "[train]" and "[val]", one filename per line."""
-    with open(path, "w") as f:
-        f.write("[train]\n")
-        for name in ds.train:
-            f.write(f"{name}\n")
-        f.write("[val]\n")
-        for name in ds.val:
-            f.write(f"{name}\n")
-
-
-def read_split_manifest(path) -> DatasetSplit:
-    sections = {"train": [], "val": []}
-    current = None
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                if current not in sections:
-                    raise ValueError(f"unknown split section: {line}")
-            elif current is None:
-                raise ValueError("manifest entries must follow a section header")
-            else:
-                sections[current].append(line)
-    return DatasetSplit(train=tuple(sections["train"]), val=tuple(sections["val"]))
 
 
 DETECTIONS_HEADER = ["image", "class", "score", "xmin", "ymin", "xmax", "ymax"]

@@ -3,12 +3,13 @@
 The schema uses exactly the element names annotation, size/{width,height},
 object/{name,bndbox/{xmin,ymin,xmax,ymax}}.  Unknown elements (pose,
 truncated, ...) are ignored in both modes; unknown class names are a hard
-error in strict mode and skipped with a warning in lenient mode.
+error in strict mode and skipped in lenient mode, each with one stderr line
+naming the file and the class.
 """
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,11 +65,12 @@ def _number(parent: ET.Element, name: str) -> float:
     return x
 
 
-def parse_voc(xml_bytes: bytes, lenient: bool = False) -> Annotation:
+def parse_voc(xml_bytes: bytes, skipped: list | None = None) -> Annotation:
     """Parse one VOC annotation file.
 
-    Sizes and coordinates are read as finite reals.  ``lenient=True``
-    downgrades unknown class names to a warning and skips those objects.
+    Sizes and coordinates are read as finite reals.  An object of unknown
+    class is a :class:`VocVocabularyError`; given a ``skipped`` list, the
+    object is left out instead and its class name appended to the list.
     """
     try:
         root = ET.fromstring(xml_bytes)
@@ -89,8 +91,8 @@ def parse_voc(xml_bytes: bytes, lenient: bool = False) -> Annotation:
     for obj in root.findall("object"):
         name = _require(obj, "name").text
         if name not in CLASS_NAMES:
-            if lenient:
-                warnings.warn(f"skipping object with unknown class {name!r}")
+            if skipped is not None:
+                skipped.append(name)
                 continue
             raise VocVocabularyError(
                 f"unknown class {name!r}; expected one of {', '.join(CLASS_NAMES)}"
@@ -115,12 +117,18 @@ def parse_voc(xml_bytes: bytes, lenient: bool = False) -> Annotation:
 
 def read_voc(path, lenient: bool = False) -> Annotation:
     """:func:`parse_voc` of the file at ``path``; a :class:`VocError` keeps
-    its type and names the file."""
+    its type and names the file.  ``lenient=True`` skips each object of
+    unknown class with one stderr line naming the file and the class."""
+    skipped = [] if lenient else None
     try:
-        return parse_voc(Path(path).read_bytes(), lenient)
+        ann = parse_voc(Path(path).read_bytes(), skipped)
     except VocError as e:
         e.args = (f"{path}: {e}",)
         raise
+    for name in skipped or ():
+        # one write per line: preprocess reads its files from a thread pool
+        sys.stderr.write(f"{path}: skipping object with unknown class {name!r}\n")
+    return ann
 
 
 def _num_text(v: float) -> str:

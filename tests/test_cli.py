@@ -3,14 +3,16 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import raildet
+from raildet import cli
 from raildet.cli import RENDER_COLORS, build_parser, main
-from raildet.dataio import read_detections_csv, read_split_manifest
+from raildet.dataio import read_detections_csv
 from raildet.evaluation import Detection, EvalConfig
 from raildet.geometry import BBox
 from raildet.model import random_weights, save_weights
@@ -53,22 +55,20 @@ class TestSynth:
     def test_outputs_and_manifest(self, scene_dir):
         ppms = sorted(p.name for p in scene_dir.glob("*.ppm"))
         assert ppms == ["scene_000100.ppm", "scene_000101.ppm", "scene_000102.ppm"]
-        assert len(list(scene_dir.glob("*.xml"))) == 3
-        ds = read_split_manifest(scene_dir / "split.txt")
-        assert sorted(ds.train + ds.val) == ppms
-        assert (scene_dir / "manifest.txt").exists()
+        xmls = sorted(p.name for p in scene_dir.glob("*.xml"))
+        assert xmls == [name.replace(".ppm", ".xml") for name in ppms]
+        assert sorted(p.name for p in scene_dir.iterdir()) == sorted(ppms + xmls + ["manifest.txt"])
 
     def test_deterministic(self, scene_dir, tmp_path):
         again = tmp_path / "again"
         assert run("synth", "--out", str(again), "--count", "3", "--seed", "100") == 0
-        for name in ("scene_000100.ppm", "scene_000100.xml", "split.txt"):
+        for name in ("scene_000100.ppm", "scene_000100.xml"):
             assert (again / name).read_bytes() == (scene_dir / name).read_bytes()
 
     def test_count_zero(self, tmp_path):
         out = tmp_path / "empty"
         assert run("synth", "--out", str(out), "--count", "0") == 0
-        ds = read_split_manifest(out / "split.txt")
-        assert ds.train == () and ds.val == ()
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
 
 
 class TestPreprocess:
@@ -107,6 +107,23 @@ class TestPreprocess:
         out = tmp_path / "o"
         assert run("preprocess", "--in", str(src), "--out", str(out), "--keep-going") == 1
         assert (out / "scene_000101.ppm").exists()
+
+    def test_lenient_names_each_skipped_object(self, scene_dir, tmp_path, monkeypatch, capsys):
+        # the same unknown class in two files, read by two threads: one
+        # stderr line per skipped object, each naming its own file
+        monkeypatch.setenv("DETPIPE_THREADS", "2")
+        src = tmp_path / "src"
+        src.mkdir()
+        names = ("scene_000100", "scene_000101")
+        for name in names:
+            (src / f"{name}.ppm").write_bytes((scene_dir / f"{name}.ppm").read_bytes())
+            xml = (scene_dir / f"{name}.xml").read_text()
+            (src / f"{name}.xml").write_text(re.sub("<name>[^<]*<", "<name>XX<", xml, count=1))
+        assert run("preprocess", "--in", str(src), "--out", str(tmp_path / "o"), "--lenient") == 0
+        skips = [ln for ln in capsys.readouterr().err.splitlines() if "skipping" in ln]
+        assert sorted(skips) == [
+            f"{src / name}.xml: skipping object with unknown class 'XX'" for name in names
+        ]
 
 
 class TestDetectEval:
@@ -372,6 +389,24 @@ class TestBench:
         err = capsys.readouterr().err
         assert "--rois" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("cost_ms, rc", [((3, 2, 1), 0), ((3, 1, 2), 1)])
+    def test_check_exit_code_follows_the_medians(self, monkeypatch, capsys, cost_ms, rc):
+        # each detect call advances a fake clock by its budget's cost, so the
+        # medians do not depend on the host
+        cost = dict(zip((300, 50, 10), cost_ms))
+        now = [0.0]
+
+        def fake_detect(image, weights, config):
+            now[0] += cost[config.proposal.post_nms_top] / 1000.0
+            return []
+
+        monkeypatch.setattr(cli, "detect", fake_detect)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            perf_counter=lambda: now[0], process_time=lambda: now[0]))
+        assert run("bench", "--rois", "300,50,10", "--repeat", "3", "--check") == rc
+        err = capsys.readouterr().err
+        assert err == ("latency not monotone in ROI budget\n" if rc else "")
+
 
 class TestRender:
     def _one_scene(self, scene_dir):
@@ -420,6 +455,44 @@ class TestRender:
         write_detections_csv(dets, [])
         assert run("render", "--image", str(tmp_path / "gone.ppm"),
                    "--dets", str(dets), "--out", str(tmp_path / "o.ppm")) == 1
+
+    def test_labels_stamped_above_each_box(self, tmp_path):
+        img = tmp_path / "a.ppm"
+        write_ppm(img, np.zeros((60, 80, 3), dtype=np.uint8))
+        boxes = {"V": BBox(10, 20, 30, 40), "WJ-8": BBox(40, 30, 70, 50)}
+        dets = tmp_path / "d.csv"
+        write_detections_csv(dets, [(img.name, Detection(c, b, 0.9)) for c, b in boxes.items()])
+        renders = []
+        for labels in ([], ["--labels"]):
+            out = tmp_path / f"out{len(labels)}.ppm"
+            assert run("render", "--image", str(img), "--dets", str(dets),
+                       "--out", str(out), *labels) == 0
+            renders.append(read_ppm(out))
+        plain, labelled = renders
+        # the 3x5 glyphs sit in the rows 7 to 3 above the box's top edge,
+        # 4 columns per character from its left edge
+        bands = np.zeros(plain.shape[:2], dtype=bool)
+        for cls, b in boxes.items():
+            y0, x0 = int(b.y_min), int(b.x_min)
+            band = np.s_[y0 - 7 : y0 - 2, x0 : x0 + 4 * len(cls)]
+            bands[band] = True
+            assert not np.all(plain[band] == RENDER_COLORS[cls], axis=2).any()
+            assert np.all(labelled[band] == RENDER_COLORS[cls], axis=2).any()
+        assert not np.any(plain != labelled, axis=2)[~bands].any()
+
+    def test_label_clipped_at_the_top_edge(self, tmp_path):
+        img = tmp_path / "a.ppm"
+        write_ppm(img, np.zeros((40, 80, 3), dtype=np.uint8))
+        dets = tmp_path / "d.csv"
+        write_detections_csv(dets, [(img.name, Detection("V", BBox(10, 3, 30, 20), 0.9))])
+        out = tmp_path / "o.ppm"
+        assert run("render", "--image", str(img), "--dets", str(dets),
+                   "--out", str(out), "--labels") == 0
+        painted = np.all(read_ppm(out) == RENDER_COLORS["V"], axis=2)
+        assert painted.shape == (40, 80)
+        # the label starts 4 rows above the image: only the last glyph row
+        # of "V" (.#.) lands, on row 0
+        assert np.argwhere(painted[:3]).tolist() == [[0, 11]]
 
 
 class TestMakeWeights:

@@ -73,8 +73,7 @@ def valid(tmp_path_factory):
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(["synth", "--out", str(d), "--count", "1", "--seed", "3"]) == 0
         assert main(["make-weights", "--out", str(d / "w.bin")]) == 0
-    for name in ("split.txt", "manifest.txt"):
-        (d / name).unlink()
+    (d / "manifest.txt").unlink()
     ann = parse_voc((d / f"{SCENE}.xml").read_bytes())
     write_detections_csv(d / "dets.csv", [(f"{SCENE}.ppm", Detection(o.class_name, o.box, 0.9))
                                           for o in ann.objects])

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from raildet.dataio import (
-    DatasetSplit,
-    read_detections_csv,
-    read_split_manifest,
-    split,
-    write_detections_csv,
-    write_split_manifest,
-)
+from raildet.dataio import read_detections_csv, write_detections_csv
 from raildet.evaluation import Detection
 from raildet.geometry import BBox
 from raildet.ppm import read_ppm, write_ppm
@@ -80,53 +73,6 @@ class TestPpm:
     def test_rejects_wrong_dtype(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "x.ppm", np.zeros((2, 2), dtype=np.float64))
-
-
-class TestSplit:
-    def test_3_to_1(self):
-        ds = split(list(range(4)), seed=0)
-        assert len(ds.train) == 3
-        assert len(ds.val) == 1
-
-    def test_100_items(self):
-        ds = split([f"i{i}" for i in range(100)], seed=1)
-        assert len(ds.train) == 75
-        assert len(ds.val) == 25
-
-    def test_deterministic(self):
-        items = [f"img_{i}" for i in range(40)]
-        assert split(items, seed=9) == split(items, seed=9)
-
-    def test_partition(self):
-        items = [f"img_{i}" for i in range(41)]
-        ds = split(items, seed=2)
-        assert sorted(ds.train + ds.val) == sorted(items)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetSplit(train=("a", "b"), val=("b",))
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            split([1, 2], train_fraction=1.0)
-
-    def test_manifest_round_trip(self, tmp_path):
-        ds = split([f"img_{i}.ppm" for i in range(10)], seed=3)
-        path = tmp_path / "split.txt"
-        write_split_manifest(path, ds)
-        assert read_split_manifest(path) == ds
-
-    def test_manifest_rejects_unknown_section(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("[test]\nimg.ppm\n")
-        with pytest.raises(ValueError):
-            read_split_manifest(path)
-
-    def test_manifest_rejects_headerless_entry(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("img.ppm\n")
-        with pytest.raises(ValueError):
-            read_split_manifest(path)
 
 
 class TestDetectionsCsv:

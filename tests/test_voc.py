@@ -105,11 +105,14 @@ def test_unknown_class_strict():
         parse_voc(xml)
 
 
-def test_unknown_class_lenient_skips_with_warning():
-    xml = MINIMAL.replace(b"WJ-8", b"WJ-9")
-    with pytest.warns(UserWarning):
-        ann = parse_voc(xml, lenient=True)
-    assert ann.objects == ()
+def test_unknown_class_lenient_skips_with_warning(tmp_path, capsys):
+    path = tmp_path / "a.xml"
+    path.write_bytes(MINIMAL.replace(b"WJ-8", b"WJ-9"))
+    assert read_voc(path, lenient=True).objects == ()
+    assert capsys.readouterr().err == f"{path}: skipping object with unknown class 'WJ-9'\n"
+    skipped = []
+    assert parse_voc(path.read_bytes(), skipped).objects == ()
+    assert skipped == ["WJ-9"]
 
 
 def _random_annotation(rng):
