@@ -266,6 +266,9 @@ def cmd_bench(args) -> int:
     except ValueError as e:
         raise ConfigError(f"--rois {args.rois!r}: {e}") from None
     budgets = [cfg.proposal.post_nms_top for cfg in cfgs]
+    repeated = next((b for i, b in enumerate(budgets) if b in budgets[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"--rois {args.rois!r}: budget {repeated} is given twice")
     weights = _load_model(args, config)
     image, _ = synthesize_scene(args.seed)
 

@@ -80,6 +80,10 @@ class ProposalConfig:
             raise ValueError("post_nms_top must not exceed pre_nms_top")
         if not (0.0 < self.nms_iou_threshold < 1.0):
             raise ValueError("nms_iou_threshold must be in (0, 1)")
+        # a box clipped to zero width must fail the filter: propose drops
+        # the anchors that surely clip so without decoding them
+        if not (self.min_box_size > 0):
+            raise ValueError(f"min_box_size must be positive, got {self.min_box_size}")
 
 
 def nms(boxes: list[ScoredBox], iou_threshold: float) -> list[int]:
@@ -198,7 +202,8 @@ class _Walk:
     that value plus the lowest-indexed ones tied with it.  When a window
     ends inside a run of ties longer than itself, or would reach past half
     of the anchors, ranking it would cost more than decoding everything:
-    the walk then decodes every anchor in index order and ranks the
+    the walk then decodes every anchor in index order, less those that
+    surely clip to an empty box (:func:`_maybe_nonempty`), and ranks the
     survivors with :func:`_rank`.
     """
 
@@ -219,9 +224,13 @@ class _Walk:
             end = min(n, max(count, 2 * self.depth))
             last = self._last(end)
             if last is None:
-                boxes = _decode_clip(self.anchors, self.deltas, *self.canvas)
-                self.idx = np.flatnonzero(_passes(boxes, self.min_size))
-                self.boxes = boxes[self.idx]
+                if self.depth == 0:
+                    _check_decodable_in_chunks(self.anchors, self.deltas)
+                maybe = _maybe_nonempty(self.anchors, self.deltas, *self.canvas)
+                boxes = _decode_clip(self.anchors[maybe], self.deltas[maybe], *self.canvas)
+                keep = _passes(boxes, self.min_size)
+                self.idx = maybe[keep]
+                self.boxes = boxes[keep]
                 self.everything = True
                 break
             if self.depth == 0:  # the decode errors of the anchors never reached
@@ -285,6 +294,54 @@ def _check_decodable(anchors: np.ndarray, deltas: np.ndarray) -> None:
         np.isfinite(deltas[:, :2]).all() and (deltas[:, 2:] > -np.inf).all()
     ):
         raise ValueError("non-finite delta")
+
+
+def _check_decodable_in_chunks(anchors: np.ndarray, deltas: np.ndarray) -> None:
+    """:func:`_check_decodable`, raising the error that decoding every
+    anchor DECODE_CHUNK rows at a time raises first."""
+    try:
+        _check_decodable(anchors, deltas)
+    except ValueError:
+        for start in range(0, len(anchors), DECODE_CHUNK):
+            rows = slice(start, start + DECODE_CHUNK)
+            _check_decodable(anchors[rows], deltas[rows])
+        raise
+
+
+# The widest half-size of a decoded box over its anchor size, with tw/th
+# clamped to BBOX_XFORM_CLIP: 1e-9 covers the rounding of exp and of the
+# products, 1e-6 more and SURELY_EMPTY_PX that of the centre's comparison.
+HALF_REACH = 0.5 * math.exp(BBOX_XFORM_CLIP) * (1 + 1e-9) * (1 + 1e-6)
+SURELY_EMPTY_PX = 1e-3
+
+
+def _maybe_nonempty(anchors, deltas, image_w, image_h) -> np.ndarray:
+    """Indices, ascending, of the anchors whose decoded and clipped box may
+    have a positive width and height.
+
+    A box whose centre lies beyond a canvas edge by more than its widest
+    half-size has both corners past that edge, so the clip maps them to the
+    same value: the box is empty on that axis and fails any positive
+    ``min_box_size``.  The centre is ``decode_array``'s own float
+    expression.  The oracle shoves its boxes off along y, so x is tested
+    only on the anchors y leaves.
+    """
+    anchors = np.asarray(anchors, dtype=np.float64)
+    maybe = np.flatnonzero(~_beyond_canvas(anchors, deltas, 1, image_h))
+    return maybe[~_beyond_canvas(anchors[maybe], deltas[maybe], 0, image_w)]
+
+
+def _beyond_canvas(anchors, deltas, k, limit) -> np.ndarray:
+    """Rows whose box lies wholly outside [0, ``limit``] on axis ``k``
+    (0: x, 1: y), by more than the rounding of the test.  NaN is never
+    beyond."""
+    size = anchors[:, k + 2] - anchors[:, k]
+    center = anchors[:, k] + anchors[:, k + 2]
+    center *= 0.5
+    center += size * deltas[:, k]
+    size *= HALF_REACH
+    size += SURELY_EMPTY_PX
+    return (center - limit > size) | (-center > size)
 
 
 def _rank(idx: np.ndarray, neg: np.ndarray, top: int) -> np.ndarray:

@@ -328,6 +328,15 @@ class TestConfigHandling:
         assert rc == 2
         assert_one_line_error(err, "config error", "anchors.scales")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_min_box_size_is_config_error(self, scene_dir, tmp_path, value):
+        cfg = tmp_path / "min.cfg"
+        cfg.write_text(f"proposal.min_box_size={value}\n")
+        rc, err = run_process("detect", "--images", str(scene_dir), "--config", str(cfg),
+                              "--out", str(tmp_path / "d.csv"))
+        assert rc == 2
+        assert_one_line_error(err, "config error", "min.cfg", "min_box_size must be positive")
+
 
 @pytest.fixture(scope="module")
 def stride32(tmp_path_factory):
@@ -388,6 +397,11 @@ class TestBench:
         assert run("bench", "--rois", rois, "--repeat", "1") == 2
         err = capsys.readouterr().err
         assert "--rois" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("rois, repeated", [("50,50", "50"), ("300,50,300", "300")])
+    def test_repeated_budget_is_config_error(self, rois, repeated, capsys):
+        assert run("bench", "--rois", rois, "--repeat", "1", "--check") == 2
+        assert_one_line_error(capsys.readouterr().err, "--rois", f"budget {repeated} is given twice")
 
     @pytest.mark.parametrize("cost_ms, rc", [((3, 2, 1), 0), ((3, 1, 2), 1)])
     def test_check_exit_code_follows_the_medians(self, monkeypatch, capsys, cost_ms, rc):

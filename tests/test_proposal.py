@@ -1,10 +1,18 @@
+import contextlib
+import zlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from raildet import proposal
 from raildet.anchors import AnchorConfig, tile
+from raildet.model import extract_features, random_weights, rpn_forward
+from raildet.oracle import build_oracle_weights
+from raildet.pipeline import PipelineConfig
 from raildet.geometry import BBOX_XFORM_CLIP, BBox, clip_array, decode_array, iou
 from raildet.proposal import ProposalConfig, ScoredBox, _greedy_keep, nms, propose
+from raildet.synth import synthesize_scene
 
 
 def brute_force_nms(boxes, iou_threshold):
@@ -536,3 +544,185 @@ class TestRankFirstWalk:
         scores[int(np.argmax(scores))] = 1.5
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             propose(grid, scores, deltas, 800, 1000)
+
+
+# ---------------------------------------------------------------------------
+# The surely-empty cut in the walk's decode-everything fallback
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def decoding_every_anchor():
+    """The walk's fallback before the surely-empty cut: it decodes every
+    anchor in index order, and ``decode_array`` raises, chunk by chunk, the
+    errors of the anchors and deltas."""
+    with mock.patch.object(proposal, "_maybe_nonempty",
+                           lambda anchors, *_: np.arange(len(anchors))), \
+            mock.patch.object(proposal, "_check_decodable_in_chunks", lambda *_: None):
+        yield
+
+
+def reference_propose(*args):
+    with decoding_every_anchor():
+        return propose(*args)
+
+
+def assert_same_rois(got, want):
+    for name in ("boxes", "scores", "anchor_indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+CANVAS = (800, 1000)
+OFFSETS_PX = (-3.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 3.0)
+
+
+def _shoved(stride, axis, side, offset, mode, seed):
+    """An oracle-like map: every anchor but six ties at one background score,
+    and each of those has its decoded centre on ``axis`` ``offset`` px
+    beyond the half-size of its widest clamped box past the ``side`` edge
+    (negative: inside it).  ``mode`` sets tw/th to ``BBOX_XFORM_CLIP``
+    ("clip", also "touching") or to values below it with some at ``+inf``
+    ("mixed"); "touching" translates every anchor to touch the canvas edge
+    it is shoved past."""
+    grid = tile(AnchorConfig(stride=stride), CANVAS[0] // stride, CANVAS[1] // stride).copy()
+    n = len(grid)
+    rng = np.random.default_rng(seed)
+    k, limit = axis, CANVAS[axis]
+    if mode == "touching":
+        shift = (limit - grid[:, k + 2]) if side == "far" else -grid[:, k]
+        grid[:, k] += shift
+        grid[:, k + 2] += shift
+    scores = np.full(n, 0.02)
+    hits = rng.choice(n, 6, replace=False)
+    scores[hits] = rng.uniform(0.9, 1.0, 6)
+    deltas = rng.normal(0, 0.2, (n, 4))
+    if mode == "mixed":
+        deltas[:, 2:] = rng.uniform(-4.0, BBOX_XFORM_CLIP, (n, 2))
+        deltas[::5, 2] = np.inf
+        deltas[::7, 3] = np.inf
+    else:
+        deltas[:, 2:] = BBOX_XFORM_CLIP
+    size = grid[:, k + 2] - grid[:, k]
+    center = 0.5 * (grid[:, k] + grid[:, k + 2])
+    reach = 0.5 * size * np.exp(BBOX_XFORM_CLIP)
+    target = limit + reach + offset if side == "far" else -reach - offset
+    shoved = np.ones(n, dtype=bool)
+    shoved[hits] = False
+    deltas[shoved, k] = ((target - center) / size)[shoved]
+    return grid, scores, deltas, hits
+
+
+class TestSurelyEmptyCut:
+    """Where the walk decodes every anchor it first drops those whose box
+    surely clips to nothing; the ROIs must equal those of decoding every
+    anchor, and every decode error must stay where it was."""
+
+    def _decoded_rows(self):
+        rows = []
+        original = proposal._decode_clip
+
+        def counted(anchors, *args):
+            rows.append(len(anchors))
+            return original(anchors, *args)
+
+        return rows, mock.patch.object(proposal, "_decode_clip", counted)
+
+    # a tiny min_box_size keeps the boxes that end 1e-3 px inside the edge
+    @pytest.mark.parametrize("min_size", [1.0, 1e-4])
+    @pytest.mark.parametrize("mode", ["clip", "mixed", "touching"])
+    @pytest.mark.parametrize("offset", OFFSETS_PX)
+    @pytest.mark.parametrize("side", ["near", "far"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("budget", [300, 50, 10])
+    @pytest.mark.parametrize("stride", [16, 32])
+    def test_equals_decoding_every_anchor(self, stride, budget, axis, side, offset, mode,
+                                          min_size):
+        seed = zlib.crc32(repr((stride, budget, axis, side, offset, mode, min_size)).encode())
+        grid, scores, deltas, hits = _shoved(stride, axis, side, offset, mode, seed)
+        config = ProposalConfig(post_nms_top=budget, min_box_size=min_size)
+        args = (grid, scores, deltas, *CANVAS, config)
+        rows, counting = self._decoded_rows()
+        with counting:
+            got = propose(*args)
+        assert_same_rois(got, reference_propose(*args))
+        assert list(got) == unchunked_propose(*args)
+        if offset >= 0.5:  # well past the margin: only the six boxes on the canvas decode
+            assert rows == [len(hits)]
+        if offset <= -0.5:  # inside the bound: the shoved boxes are decoded
+            assert rows == [len(grid)]
+
+    @pytest.fixture(scope="class")
+    def pipeline_inputs(self):
+        """Anchors, scores and deltas of real heads on scenes 0-3 (oracle)
+        and scene 0 (random:0/1/2), at strides 16 and 32."""
+        inputs = {}
+        for stride in (16, 32):
+            config = PipelineConfig(anchors=AnchorConfig(stride=stride))
+            heads = [("oracle", build_oracle_weights(config), 4)]
+            heads += [(f"random:{s}", random_weights(s), 1) for s in (0, 1, 2)]
+            for name, weights, scenes in heads:
+                for scene in range(scenes):
+                    image, _ = synthesize_scene(scene)
+                    fm = extract_features(image, stride)
+                    scores, deltas = rpn_forward(fm, weights.rpn)
+                    grid = tile(config.anchors, fm.width, fm.height)
+                    inputs[name, stride, scene] = (grid, scores, deltas, image.shape[1],
+                                                   image.shape[0])
+        return inputs
+
+    @pytest.mark.parametrize("budget", [300, 50, 10])
+    @pytest.mark.parametrize("stride", [16, 32])
+    @pytest.mark.parametrize("head, scene", [("oracle", s) for s in range(4)]
+                             + [(f"random:{s}", 0) for s in (0, 1, 2)])
+    def test_pipeline_heads(self, pipeline_inputs, head, scene, stride, budget):
+        args = (*pipeline_inputs[head, stride, scene], ProposalConfig(post_nms_top=budget))
+        rows, counting = self._decoded_rows()
+        with counting:
+            got = propose(*args)
+        assert_same_rois(got, reference_propose(*args))
+        if head == "oracle":  # the oracle shoves all but a few boxes off the canvas
+            assert len(rows) == 1 and len(got) <= rows[0] < 100
+
+    def _dropped(self):
+        """An oracle-like map at stride 16 and the index of an anchor in
+        each decode chunk that the cut drops."""
+        grid, scores, deltas, hits = _shoved(16, 1, "far", 3.0, "clip", 40)
+        chunk = proposal.DECODE_CHUNK
+        dropped = [i for i in range(0, len(grid), chunk) if i not in hits]
+        assert len(dropped) == -(-len(grid) // chunk)
+        assert not np.isin(dropped, proposal._maybe_nonempty(grid, deltas, *CANVAS)).any()
+        return grid, scores, deltas, dropped
+
+    @pytest.mark.parametrize("column, value", [(0, np.nan), (1, np.inf), (2, np.nan),
+                                               (3, -np.inf)])
+    def test_non_finite_delta_on_a_dropped_anchor_raises(self, column, value):
+        grid, scores, deltas, dropped = self._dropped()
+        deltas[dropped[3], column] = value
+        with pytest.raises(ValueError, match="non-finite delta"):
+            propose(grid, scores, deltas, *CANVAS)
+
+    def test_degenerate_dropped_anchor_raises(self):
+        grid, scores, deltas, dropped = self._dropped()
+        grid[dropped[3], 3] = grid[dropped[3], 1]
+        with pytest.raises(ValueError, match="degenerate anchor"):
+            propose(grid, scores, deltas, *CANVAS)
+
+    @pytest.mark.parametrize("nan_chunk, degenerate_chunk", [(0, 3), (3, 0), (2, 2), (6, 5)])
+    def test_errors_keep_their_order(self, nan_chunk, degenerate_chunk):
+        grid, scores, deltas, dropped = self._dropped()
+        deltas[dropped[nan_chunk], 1] = np.nan
+        grid[dropped[degenerate_chunk], 2] = grid[dropped[degenerate_chunk], 0] - 1.0
+        with pytest.raises(ValueError) as want:
+            reference_propose(grid, scores, deltas, *CANVAS)
+        assert str(want.value) == ("non-finite delta" if nan_chunk < degenerate_chunk
+                                   else "degenerate anchor")
+        with pytest.raises(ValueError, match=str(want.value)):
+            propose(grid, scores, deltas, *CANVAS)
+
+
+class TestMinBoxSize:
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, -np.inf])
+    def test_non_positive_rejected(self, value):
+        with pytest.raises(ValueError, match="min_box_size must be positive"):
+            ProposalConfig(min_box_size=value)
