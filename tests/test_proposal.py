@@ -7,10 +7,10 @@ import pytest
 
 from raildet import proposal
 from raildet.anchors import AnchorConfig, tile
+from raildet.geometry import BBOX_XFORM_CLIP, BBox, clip_array, decode_array, iou
 from raildet.model import extract_features, random_weights, rpn_forward
 from raildet.oracle import build_oracle_weights
 from raildet.pipeline import PipelineConfig
-from raildet.geometry import BBOX_XFORM_CLIP, BBox, clip_array, decode_array, iou
 from raildet.proposal import ProposalConfig, ScoredBox, _greedy_keep, nms, propose
 from raildet.synth import synthesize_scene
 
@@ -96,6 +96,12 @@ class TestProposalConfig:
             ProposalConfig(pre_nms_top=10, post_nms_top=20)
         with pytest.raises(ValueError):
             ProposalConfig(nms_iou_threshold=1.0)
+
+    # a box clipped to zero width must fail the min-size filter
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, -np.inf])
+    def test_min_box_size_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="min_box_size must be positive"):
+            ProposalConfig(min_box_size=value)
 
 
 class TestPropose:
@@ -552,9 +558,9 @@ class TestRankFirstWalk:
 
 @contextlib.contextmanager
 def decoding_every_anchor():
-    """The walk's fallback before the surely-empty cut: it decodes every
-    anchor in index order, and ``decode_array`` raises, chunk by chunk, the
-    errors of the anchors and deltas."""
+    """The walk's fallback without the surely-empty cut, as a reference: it
+    decodes every anchor in index order, and ``decode_array`` raises, chunk
+    by chunk, the errors of the anchors and deltas."""
     with mock.patch.object(proposal, "_maybe_nonempty",
                            lambda anchors, *_: np.arange(len(anchors))), \
             mock.patch.object(proposal, "_check_decodable_in_chunks", lambda *_: None):
@@ -719,10 +725,3 @@ class TestSurelyEmptyCut:
                                    else "degenerate anchor")
         with pytest.raises(ValueError, match=str(want.value)):
             propose(grid, scores, deltas, *CANVAS)
-
-
-class TestMinBoxSize:
-    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, -np.inf])
-    def test_non_positive_rejected(self, value):
-        with pytest.raises(ValueError, match="min_box_size must be positive"):
-            ProposalConfig(min_box_size=value)
