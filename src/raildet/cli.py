@@ -16,7 +16,9 @@ manifest after its CSV (``dets.csv`` -> ``dets.manifest.txt``).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import os
 import statistics
 import sys
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, dump_config, load_config, with_post_nms_top
-from .dataio import read_detections_csv, write_detections_csv
+from .dataio import DETECTIONS_HEADER, read_detections_csv, write_detections_csv
 from .evaluation import CLASS_NAMES, EvalConfig, evaluate
 from .model import NUM_CHANNELS, load_weights, random_weights, save_weights
 from .oracle import build_oracle_weights
@@ -192,13 +194,11 @@ def cmd_propose(args) -> int:
     except PipelineError as e:
         e.args = (f"{path}: {e}",)  # the stage cannot know the image
         raise
-    lines = ["image,class,score,xmin,ymin,xmax,ymax"]
-    for r in rois:
-        b = r.box
-        lines.append(
-            f"{name},roi,{r.score:.6f},{b.x_min:.6f},{b.y_min:.6f},{b.x_max:.6f},{b.y_max:.6f}"
-        )
-    _write_or_print(args.out, "\n".join(lines) + "\n")
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")  # quotes a name that holds a comma
+    rows.writerow(DETECTIONS_HEADER)
+    rows.writerows([name, "roi", *(f"{v:.6f}" for v in (r.score, *r.box.as_tuple()))] for r in rois)
+    _write_or_print(args.out, out.getvalue())
     _log(f"{len(rois)} proposals")
     return 0
 

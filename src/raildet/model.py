@@ -106,9 +106,11 @@ def extract_features(image: np.ndarray, stride: int) -> FeatureMap:
     cell_area = s * s
 
     chans = np.empty((NUM_CHANNELS, h_cells, w_cells), dtype=np.float64)
-    # exact integer cell sums (at most 32 * 32 * 255), so the float division
-    # gives the bits of the float64 mean
-    lum = cells.sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
+    # Exact integer sums in the narrowest dtype that holds them (einsum wraps
+    # silently), so the float division gives the bits of the float64 mean:
+    # rows <= 255 s (uint16), cells <= 255 s^2 = 65,280 (uint16) or 261,120.
+    lum = np.einsum("hwc->hw", cells.sum(axis=1, dtype=np.uint16),
+                    dtype=np.min_scalar_type(255 * cell_area))
     chans[CHAN_LUM] = lum / cell_area / 255.0
     # Occupancy channels are cell means of 0/1 planes and the moments cell
     # means of 0/1 times multiples of 1/(2s).  Every partial sum is exact in
@@ -117,30 +119,28 @@ def extract_features(image: np.ndarray, stride: int) -> FeatureMap:
     pos = (np.arange(s) + 0.5 - 0.5 * s) / s  # within-cell position, in strides
     for c, t in zip(CHAN_OCC, INTENSITY_THRESHOLDS):
         occ = (cells > t).view(np.uint8)
-        per_col = occ.sum(axis=1, dtype=np.uint16)  # (h_cells, w_cells, s)
-        chans[c] = per_col.sum(axis=2) / cell_area
+        per_col = np.einsum("hrwc->hwc", occ)  # (h_cells, w_cells, s) <= s, uint8
+        chans[c] = np.einsum("hwc->hw", per_col, dtype=np.uint16) / cell_area  # <= 1,024
         if c == CHAN_OCC[0]:
             chans[CHAN_XMOM] = (per_col @ pos) / cell_area
-            chans[CHAN_YMOM] = _row_moment(occ) / cell_area
+            chans[CHAN_YMOM] = _row_moment(occ, per_col) / cell_area
     return FeatureMap(data=chans, stride=s)
 
 
-def _row_moment(occ: np.ndarray) -> np.ndarray:
+def _row_moment(occ: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Cell sums of ``occ`` weighted by row position in strides, (h, w).
 
-    ``occ`` is the (h, s, w, s) 0/1 cell view.  Row ``r`` weighs
-    ``(2r + 1 - s) / (2s)``: the odd integers are summed exactly in int16,
-    one row at a time and then over the contiguous axis, and divided by the
-    power of two ``2s`` once, so the value equals the float sum over rows.
+    ``occ`` is the (h, s, w, s) 0/1 cell view, ``count`` its per-column sums.
+    Row ``r`` weighs ``(2r + 1 - s) / (2s)``: the odd integers are summed
+    exactly, as ``2 sum_r(r occ_r) - (s - 1) count``, and divided by the power
+    of two ``2s`` once, so the value equals the float sum over rows.
     """
     s = occ.shape[1]
-    weights = np.arange(1 - s, s, 2, dtype=np.int16)
-    acc = np.zeros(occ[:, 0].shape, dtype=np.int16)  # (h, w, s)
-    term = np.empty_like(acc)
-    for r in range(s):
-        np.multiply(occ[:, r], weights[r], out=term)
-        acc += term
-    return acc.sum(axis=2) / (2 * s)
+    r = np.arange(s, dtype=np.min_scalar_type(s * (s - 1) // 2))  # sum_r(r occ_r) <= 120 | 496
+    acc = np.multiply(np.einsum("hrwc,r->hwc", occ, r), 2, dtype=np.int16)
+    # |column sum| <= s^2 / 4, |cell sum| <= s^3 / 4 = 8,192 (int16)
+    acc -= np.multiply(count, s - 1, dtype=np.int16)
+    return np.einsum("hwc->hw", acc) / (2 * s)
 
 
 # ---------------------------------------------------------------------------

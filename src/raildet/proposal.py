@@ -94,8 +94,8 @@ def nms(boxes: list[ScoredBox], iou_threshold: float) -> list[int]:
     break toward the lower source_index.  Returns kept source indices in
     descending score order.
     """
-    if not boxes:
-        return []
+    if len(boxes) < 2:  # a single box is always kept
+        return [int(b.source_index) for b in boxes]
     arr = np.array([b.box.as_tuple() for b in boxes], dtype=np.float64)
     scores = np.array([b.score for b in boxes], dtype=np.float64)
     src = np.array([b.source_index for b in boxes], dtype=np.int64)

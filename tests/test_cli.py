@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import re
@@ -291,6 +292,15 @@ class TestPropose:
         assert lines[0] == "image,class,score,xmin,ymin,xmax,ymax"
         assert all(",roi," in ln for ln in lines[1:])
         assert len(lines) > 1
+
+    def test_image_name_with_a_comma_is_quoted(self, scene_dir, tmp_path):
+        img = tmp_path / "a,b.ppm"
+        img.write_bytes(sorted(scene_dir.glob("*.ppm"))[0].read_bytes())
+        out = tmp_path / "rois.csv"
+        assert run("propose", "--image", str(img), "--weights", "oracle", "--out", str(out)) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert len(rows) > 1 and all(len(row) == 7 for row in rows)
+        assert {row[0] for row in rows[1:]} == {"a,b.ppm"}
 
 
 class TestConfigHandling:

@@ -65,6 +65,13 @@ class TestExtractFeatures:
         # values at and around every threshold
         images.append(rng.choice([99, 100, 101, 159, 160, 161, 190, 191, 220, 221],
                                  size=(1000, 800)).astype(np.uint8))
+        # every integer cell sum at its bound: cells fully above each
+        # threshold, and occupancy in only one half of every cell, top,
+        # bottom, left or right, for the extremes of the two moments
+        images += [np.full((1000, 800), t + 1, dtype=np.uint8) for t in INTENSITY_THRESHOLDS]
+        rows, cols = np.indices((1000, 800)) % stride < stride // 2
+        images += [np.where(half, 255, 0).astype(np.uint8) for half in (rows, ~rows, cols, ~cols)]
+        images.append(rng.integers(0, 256, (2000, 800)).astype(np.uint8)[::2])  # not contiguous
         for image in images:
             expected = reference_features(image, stride)
             assert np.array_equal(extract_features(image, stride).data, expected)

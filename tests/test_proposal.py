@@ -49,6 +49,12 @@ def test_empty():
     assert nms([], 0.5) == []
 
 
+@pytest.mark.parametrize("thr", [0.0, 0.5])
+def test_single_box_is_kept(thr):
+    kept = nms([sb(3, 4, 3.5, 90, 0.0, 7)], thr)
+    assert kept == [7] and type(kept[0]) is int
+
+
 def test_tie_breaks_by_source_index():
     boxes = [sb(0, 0, 10, 10, 0.9, 5), sb(0, 0, 10, 10, 0.9, 2)]
     assert nms(boxes, 0.5) == [2]
