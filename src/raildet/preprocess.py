@@ -21,10 +21,12 @@ from .geometry import BBox, clip
 from .model import IMAGE_HEIGHT, IMAGE_WIDTH
 from .voc import Annotation
 
-# canvas rows resampled at a time: a 64 x 800 float64 band is 410 KB, where
-# a whole 1000 x 800 float64 canvas (6.4 MB) made the allocator hand memory
-# back and fault it in again on every image
-BLOCK_ROWS = 64
+# canvas rows resampled at a time.  A band of 800 columns holds the float64
+# column blend of at most 64 source rows (410 KB) and, first, one product of
+# that size, then its top and bottom rows (205 KB each): ~0.8 MB.  A whole
+# 1000 x 800 float64 canvas (6.4 MB) made the allocator hand memory back and
+# fault it in again on every image, and 64-row bands held ~2 MB.
+BLOCK_ROWS = 32
 
 
 @functools.lru_cache(maxsize=8)
@@ -60,9 +62,10 @@ def resize_bilinear(
     ``src[:, x0] * (1 - fx) + src[:, x1] * fx``, widening its taps (a uint8
     plane stays uint8 until then) to float64, which gives the same bits as
     blending a float64 copy.  The output is the row blend
-    ``top * (1 - fy) + bot * fy`` of those.  No temporary is larger than
-    twice the output, so asking for 64 rows of 800 columns at a time keeps
-    every temporary under ~1 MB.
+    ``top * (1 - fy) + bot * fy`` of those.  At most the column blend and
+    one float64 array of its size, or the blend and twice the output, are
+    live at once, so asking for 32 rows of 800 columns at a time keeps them
+    under ~1 MB together.
     """
     image = np.asarray(image)
     in_h, in_w = image.shape
@@ -77,10 +80,8 @@ def resize_bilinear(
     src_rows, inverse = np.unique(np.concatenate((y0, y1)), return_inverse=True)
     src = image[src_rows]
     blend = src[:, x0].astype(np.float64)
-    right = src[:, x1].astype(np.float64)
     blend *= 1 - fx
-    right *= fx
-    blend += right
+    blend += src[:, x1] * fx  # the product's temporary is freed at once
     top, bot = blend[inverse[: y0.size]], blend[inverse[y0.size :]]
     fy = fy[:, None]
     top *= 1 - fy
@@ -100,7 +101,7 @@ def preprocess(image: np.ndarray, ann: Annotation) -> tuple[np.ndarray, Annotati
     The canvas is filled ``BLOCK_ROWS`` rows at a time: each block is
     resampled with ``resize_bilinear``, rounded in place and cast into its
     band of the canvas, which gives the same bits as resampling the whole
-    canvas at once while keeping every temporary under ~1 MB.
+    canvas at once while holding ~1 MB beyond the input and the canvas.
     """
     image = np.asarray(image)
     if image.ndim != 2 or image.dtype != np.uint8:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from inspect import signature
 
 import numpy as np
@@ -280,3 +281,19 @@ def scaled_scene(seed, h, w):
 def test_ingest_canvas_pinned(seed, shape, digest):
     out, _ = preprocess(scaled_scene(seed, *shape), ann_with(w=shape[1], h=shape[0]))
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("w", [1330, 840], ids=["crop", "pad"])
+def test_band_memory_stays_small(w):
+    # a 1,400-row raw: each band of the canvas holds its column blends and
+    # row taps, and nothing of the size of the raw or of the canvas
+    image = np.random.default_rng(46).integers(0, 256, (1400, w)).astype(np.uint8)
+    ann = ann_with(w=w, h=1400)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        canvas, _ = preprocess(image, ann)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - canvas.nbytes <= 1.2e6, peak
