@@ -10,6 +10,8 @@ file, and a grayscale write never builds the whole RGB array.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import re
 import stat
@@ -65,6 +67,48 @@ def write_ppm(path, image: np.ndarray) -> None:
             f.write(rgb)
 
 
+@functools.cache
+def _libc() -> ctypes.CDLL | None:
+    """glibc's ``malloc`` and ``free``, or None under another C library."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):
+        return None
+    libc = ctypes.CDLL(None)
+    libc.malloc.restype = ctypes.c_void_p
+    libc.malloc.argtypes = (ctypes.c_size_t,)
+    libc.free.argtypes = (ctypes.c_void_p,)
+    return libc
+
+
+_threshold_kept = 0  # the largest size _keep_mmap_threshold has allocated
+
+
+def _keep_mmap_threshold(nbytes: int) -> None:
+    """Raise glibc's mmap threshold to ``nbytes``, as reading a whole file
+    of that size into one buffer did, without making the pages resident.
+
+    glibc maps a block at least as large as its mmap threshold afresh, and
+    when such a block is freed it raises the threshold to the block's size
+    (and the trim threshold to twice that), up to 32 MB.  The whole-file
+    buffer ``read_ppm`` used to allocate so raised it to the file size,
+    and the pipeline's per-image temporaries below that size were reused
+    from the heap.  Without the buffer, depending on the heap's layout,
+    they were mapped or trimmed and faulted in again on every image: ~700
+    minor faults per oracle image and 100-400 per ingest image.  Freeing an
+    untouched block raises the threshold the same way, once per new
+    largest size.
+    """
+    global _threshold_kept
+    nbytes = min(nbytes, 32 << 20)  # the most glibc raises it to (64-bit)
+    libc = _libc()
+    if libc is None or nbytes <= _threshold_kept:
+        return
+    _threshold_kept = nbytes
+    libc.free(libc.malloc(nbytes))
+
+
 def _header_fields(data: bytes, eof: bool) -> tuple[list[bytes], int]:
     """The first (up to four) complete header fields of ``data`` and the
     offset just past the last of them.  A field that runs to the end of
@@ -87,7 +131,9 @@ def read_ppm(path, grayscale: bool = False) -> np.ndarray:
     The header is parsed from its first ``HEADER_BYTES``, read on only
     while its four fields are incomplete.  The pixels go straight into the
     RGB output, or ``GRAY_BLOCK_ROWS`` rows at a time into one reused
-    block for grayscale; bytes past the last pixel are never read.
+    block for grayscale; bytes past the last pixel are never read.  Under
+    glibc it first raises the allocator's mmap threshold to the image's
+    byte count, as a whole-file buffer did (``_keep_mmap_threshold``).
 
     The grayscale value is the channel mean rounded to the nearest integer,
     computed as ``(r + g + b + 1) // 3`` in uint16 for each block.  The mean
@@ -136,6 +182,7 @@ def read_ppm(path, grayscale: bool = False) -> np.ndarray:
         st = os.fstat(f.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size - pos < need:
             raise truncated(max(st.st_size - pos, 0))
+        _keep_mmap_threshold(pos + need)
         head = memoryview(data)[pos:]  # pixel bytes the header reads took
         done = 0
 

@@ -118,3 +118,31 @@ def test_ingest_loop_reuses_its_memory(tmp_path):
     faults = run_fresh(INGEST_LOOP, tmp_path)
     assert len(faults) == 2 * len(INGEST_SHAPES)
     assert statistics.median(faults) < MAX_MEDIAN_FAULTS, faults
+
+
+THRESHOLD_LOOP = """
+import json, resource, sys
+import numpy as np
+from raildet.ppm import read_ppm
+
+read_ppm(sys.argv[1], grayscale=True)
+
+def faults_of_temporary():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(3_000_000, dtype=np.uint8)  # touched, then freed
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults_of_temporary()  # the heap grows to hold it once
+print(json.dumps([faults_of_temporary() for _ in range(5)]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's dynamic mmap threshold")
+def test_read_keeps_the_mmap_threshold_of_a_whole_file_read(tmp_path):
+    # reading a 5.6 MB PPM once raises glibc's mmap threshold past it, as
+    # the whole-file buffer did, so a 3 MB temporary afterwards is reused
+    # from the heap rather than mapped and faulted in (~730 faults) each time
+    path = tmp_path / "big.ppm"
+    write_ppm(path, np.zeros((1400, 1330, 3), dtype=np.uint8))
+    faults = run_fresh(THRESHOLD_LOOP, path)
+    assert max(faults) < 50, faults

@@ -154,16 +154,6 @@ class TestDecodeEqualsWholeFile:
         assert isinstance(want, str)
         assert read_or_message(path, grayscale) == want
 
-    @pytest.mark.parametrize("w, h", [(1, 1), (5, 63), (5, 64), (5, 65), (9, 129), (800, 300)])
-    def test_block_edges(self, tmp_path, w, h):
-        rgb = np.random.default_rng(w * 1000 + h).integers(0, 256, (h, w, 3)).astype(np.uint8)
-        rgb[0, 0] = 255  # the largest sum, 765
-        data = b"P6\n%d %d\n255\n" % (w, h) + rgb.tobytes()
-        path = tmp_path / "img.ppm"
-        path.write_bytes(data)
-        for grayscale in (False, True):
-            assert_same(read_ppm(path, grayscale=grayscale), reference_decode(data, path, grayscale))
-
 
 def read_through_fifo(tmp_path, data, grayscale):
     """``read_ppm`` of ``data`` fed through a named pipe, or its message."""
