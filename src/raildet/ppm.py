@@ -42,7 +42,9 @@ def write_ppm(path, image: np.ndarray) -> None:
     """Write a (H, W) grayscale or (H, W, 3) RGB uint8 array as binary PPM.
 
     An RGB array is written as it is.  A grayscale plane is stacked to RGB
-    ``WRITE_BLOCK_ROWS`` rows at a time into one reused block.
+    ``WRITE_BLOCK_ROWS`` rows at a time into one reused block.  An array
+    with no rows or no columns, which ``read_ppm`` would reject, raises
+    ``ValueError`` without touching ``path``.
     """
     image = np.asarray(image)
     if image.dtype != np.uint8:
@@ -50,6 +52,9 @@ def write_ppm(path, image: np.ndarray) -> None:
     if not (image.ndim == 2 or (image.ndim == 3 and image.shape[2] == 3)):
         raise ValueError("image must be (H, W) or (H, W, 3)")
     h, w = image.shape[:2]
+    if not (h and w):
+        # checked before the path is opened, so nothing is created or truncated
+        raise ValueError(f"PPM writer needs at least 1x1 pixels, got {w}x{h}")
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         if image.ndim == 3:

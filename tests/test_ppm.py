@@ -216,6 +216,16 @@ class TestWriteBytes:
             write_ppm(path, image)
             assert_same(read_ppm(path, grayscale=image.ndim == 2), np.ascontiguousarray(image))
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (0, 5, 3), (5, 0, 3)])
+    def test_empty_image_rejected_before_the_path_is_opened(self, tmp_path, shape):
+        fresh, kept = tmp_path / "fresh.ppm", tmp_path / "kept.ppm"
+        kept.write_bytes(b"old bytes")
+        for path in (fresh, kept):
+            with pytest.raises(ValueError, match="at least 1x1"):
+                write_ppm(path, np.zeros(shape, dtype=np.uint8))
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"old bytes"
+
 
 def traced_peak(fn):
     """``fn()`` and the peak bytes ``tracemalloc`` saw above what was

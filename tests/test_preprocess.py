@@ -175,7 +175,7 @@ class TestCropBeforeResample:
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("cols", [slice(0, 1), slice(5, 9), slice(30, 61), slice(60, 61),
-                                      slice(None, None, 7)])
+                                      slice(None, None, 7), slice(100, 200), slice(5, 5)])
     def test_column_subset_bit_identical(self, cols):
         rng = np.random.default_rng(42)
         for image in (rng.integers(0, 256, (37, 29)).astype(np.uint8),
@@ -184,7 +184,8 @@ class TestCropBeforeResample:
             assert np.array_equal(resize_bilinear(image, 80, 61, cols), full[:, cols])
 
     @pytest.mark.parametrize("rows", [slice(0, 1), slice(5, 9), slice(0, 64), slice(64, 80),
-                                      slice(79, 80), slice(60, 200), slice(None, None, 7)])
+                                      slice(79, 80), slice(60, 200), slice(None, None, 7),
+                                      slice(100, 200), slice(5, 5)])
     def test_row_subset_bit_identical(self, rows):
         rng = np.random.default_rng(44)
         for image in (rng.integers(0, 256, (37, 29)).astype(np.uint8),
@@ -252,7 +253,7 @@ class TestOneCanvasPath:
     # a 1-row image scales to at least 1000 columns, so it always crops
     @pytest.mark.parametrize("shape", [
         (h, max(round(h * ratio), 1))
-        for h in (1, 2, 63, 64, 65, 999, 1000, 1001, 1563, 2500)
+        for h in (1, 2, 63, 64, 65, 999, 1000, 1001, 1563, 2500, 4000)
         for ratio in ((0.6, 1.1) if h > 1 else (1,))
     ], ids=lambda shape: f"{shape[0]}x{shape[1]}")
     def test_block_edges_equal_reference(self, shape):
@@ -283,12 +284,19 @@ def test_ingest_canvas_pinned(seed, shape, digest):
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("w", [1330, 840], ids=["crop", "pad"])
-def test_band_memory_stays_small(w):
-    # a 1,400-row raw: each band of the canvas holds its column blends and
-    # row taps, and nothing of the size of the raw or of the canvas
-    image = np.random.default_rng(46).integers(0, 256, (1400, w)).astype(np.uint8)
-    ann = ann_with(w=w, h=1400)
+@pytest.mark.parametrize("h, w, bound", [
+    (1400, 1330, 1.2e6),
+    (1400, 840, 1.2e6),
+    # the tap rows of a 4,000-row raw's band are sparse in their span, and
+    # the column window is a strided view of the raw: a gather on it that
+    # copied the window whole would hold ~13 MB
+    (4000, 3600, 1.6e6),
+], ids=["crop", "pad", "crop-4000"])
+def test_band_memory_stays_small(h, w, bound):
+    # each band of the canvas holds its column blends and row taps, and
+    # nothing of the size of the raw or of the canvas
+    image = np.random.default_rng(46).integers(0, 256, (h, w)).astype(np.uint8)
+    ann = ann_with(w=w, h=h)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -296,4 +304,4 @@ def test_band_memory_stays_small(w):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak - canvas.nbytes <= 1.2e6, peak
+    assert peak - canvas.nbytes <= bound, peak
