@@ -22,10 +22,11 @@ from .model import IMAGE_HEIGHT, IMAGE_WIDTH
 from .voc import Annotation
 
 # canvas rows resampled at a time.  A band of 800 columns holds the float64
-# column blend of at most 64 source rows (410 KB) and, first, one product of
-# that size, then its top and bottom rows (205 KB each): ~0.8 MB.  A whole
-# 1000 x 800 float64 canvas (6.4 MB) made the allocator hand memory back and
-# fault it in again on every image, and 64-row bands held ~2 MB.
+# column blend of at most 64 source rows (410 KB) and, first, its widened
+# upper taps of that size, then its top and bottom rows (205 KB each):
+# ~0.8 MB.  A whole 1000 x 800 float64 canvas (6.4 MB) made the allocator
+# hand memory back and fault it in again on every image, and 64-row bands
+# held ~2 MB.
 BLOCK_ROWS = 32
 
 
@@ -48,11 +49,13 @@ def _column_window(in_w: int, out_w: int, start: int, stop: int, step: int):
     step)`` blend, as a slice, and their column taps relative to its start.
     Memoised, so read-only."""
     x0, x1, fx = _taps(in_w, out_w, start, stop, step)
-    first = x0.min() if x0.size else 0
-    x0, x1 = x0 - first, x1 - first
+    if not x0.size:
+        return slice(0, 0), x0, x1, fx
+    window = slice(x0.min(), x1.max() + 1)
+    x0, x1 = x0 - window.start, x1 - window.start
     x0.setflags(write=False)
     x1.setflags(write=False)
-    return slice(first, first + (x1.max() + 1 if x1.size else 0)), x0, x1, fx
+    return window, x0, x1, fx
 
 
 def resize_bilinear(
@@ -74,22 +77,24 @@ def resize_bilinear(
 
     Only the source rows and columns that the requested pixels blend are
     read.  When the row taps span at most twice as many source rows as
-    there are output rows (every row of a plane at most twice ``out_h``
-    high) the span is sliced out of the column window as it is; a sparser
-    span (a plane scaled down more) reads the union of its tap rows alone.
-    Each source row read is blended across columns once,
+    there are output rows, as they do for any rows of a plane at most
+    twice ``out_h`` high, the span is sliced out of the column window as
+    it is.  A sparser span, of a plane scaled down more, reads only the
+    rows its taps name: they are marked in the span and numbered in order,
+    without sorting.  Each source row read is blended across columns once,
     ``src[:, x0] * (1 - fx) + src[:, x1] * fx``, widening its taps (a uint8
     plane stays uint8 until then) to float64, which gives the same bits as
     blending a float64 copy.  The output is the row blend
     ``top * (1 - fy) + bot * fy`` of those.
 
-    The taps are gathered with ``np.take``, which neither sorts nor builds
-    an index iterator, and only from C-contiguous blocks: ``np.take`` first
-    copies a strided array whole, which for the column window of a large
-    plane is the plane.  At most the column blend and one float64 array of
-    its size, or the blend and twice the output, are live at once, so
-    asking for 32 rows of 800 columns at a time keeps them under ~1 MB
-    together.
+    The column taps and the row taps are gathered with ``np.take``, and
+    only from C-contiguous blocks: ``np.take`` first copies a strided array
+    whole, and the column window of a tall plane is nearly the plane.  So
+    the rows read are first copied out of the window on their own, by
+    slicing the span or by indexing the window with the sparse span's
+    rows.  At most the column blend and one float64 array of its size, or
+    the blend and twice the output, are live at once, so asking for 32 rows
+    of 800 columns at a time keeps them under ~1 MB together.
     """
     image = np.asarray(image)
     in_h, in_w = image.shape
