@@ -421,36 +421,14 @@ class DetectHead:
 def detect_forward(
     pooled: np.ndarray, head: DetectHead
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify and regress one pooled ROI.
+    """Classify and regress every pooled ROI in an (R, ...) stack.
 
-    Returns ``(class_probs, deltas)``: a 5-way softmax (background first,
-    then V, W300-1, WJ-7, WJ-8) and a (4, 4) array of per-foreground-class
-    deltas in (tx, ty, tw, th) order.
-    """
-    flat = np.asarray(pooled, dtype=np.float64).reshape(-1)
-    if flat.shape[0] != head.cls_w.shape[1]:
-        raise ValueError(
-            f"pooled feature size {flat.shape[0]} does not match head "
-            f"input {head.cls_w.shape[1]}"
-        )
-    logits = head.cls_w @ flat + head.cls_b
-    logits -= logits.max()
-    e = np.exp(logits)
-    probs = e / e.sum()
-    deltas = (head.reg_w @ flat + head.reg_b).reshape(NUM_CLASSES - 1, 4)
-    return probs, deltas
-
-
-def detect_forward_batch(
-    pooled: np.ndarray, head: DetectHead
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`detect_forward` of every pooled ROI in an (R, ...) stack.
-
-    Returns (R, 5) class probabilities and (R, 4, 4) deltas, each row equal
-    to ``detect_forward`` of that ROI.  The products are stacked
-    matrix-vector products (``w @ flat[:, :, None]``), the same one per row
-    as ``detect_forward``; an (R, F) @ (F, 5) matrix product would round
-    differently in the last bit.
+    Returns (R, 5) class probabilities, each row a 5-way softmax (background
+    first, then V, W300-1, WJ-7, WJ-8), and (R, 4, 4) deltas, one
+    (tx, ty, tw, th) row per foreground class.  The products are stacked
+    matrix-vector products (``w @ flat[:, :, None]``), so each row is the
+    ``w @ flat`` of its ROI alone; an (R, F) @ (F, 5) matrix product would
+    round differently in the last bit.
     """
     pooled = np.asarray(pooled, dtype=np.float64)
     width = int(np.prod(pooled.shape[1:]))

@@ -1,20 +1,19 @@
-"""Online hard example mining: per-ROI losses and top-B selection.
+"""Online hard example mining: the multi-task ROI loss and top-B selection.
 
 The mining pass is read-only: losses for every ROI come from a forward
 evaluation that must not touch any model state; only the selected subset
 would feed a training pass (weight updates themselves are outside this
 artifact).
 
-``roi_loss`` and ``ohem_round`` score one ROI at a time and are the
-reference; ``roi_losses`` scores all ROIs of an image from their stacked
-probabilities and deltas with the same result, and is what
-``pipeline.ohem_simulation`` uses.
+``ohem_round`` is one image's mining round: ``roi_loss`` scores all ROIs of
+the image from their stacked probabilities and deltas, then ``select_hard``
+picks the hardest B.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,64 +44,21 @@ class RoiLoss:
     total: float
 
 
-def smooth_l1(x: float) -> float:
-    ax = abs(x)
-    return 0.5 * x * x if ax < 1.0 else ax - 0.5
-
-
 def roi_loss(
-    class_probs: Sequence[float],
-    target_class: int,
-    pred_delta: BoxDelta,
-    target_delta: BoxDelta | None,
-    config: OhemConfig = OhemConfig(),
-    roi_index: int = 0,
-) -> RoiLoss:
-    """Multi-task loss of one ROI: cross-entropy plus smooth-L1 regression.
-
-    ``target_class`` 0 is background; background ROIs carry no regression
-    target and contribute no regression loss.
-    """
-    probs = np.asarray(class_probs, dtype=np.float64)
-    if probs.ndim != 1 or not np.all(np.isfinite(probs)) or np.any(probs < 0):
-        raise ValueError("invalid probability vector")
-    if abs(float(probs.sum()) - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-    if not (0 <= target_class < probs.size):
-        raise ValueError(f"target class {target_class} out of range")
-    foreground = target_class != 0
-    if foreground != (target_delta is not None):
-        raise ValueError("target_delta must be present exactly for foreground ROIs")
-
-    p = float(probs[target_class])
-    cls = MAX_CLS_LOSS if p <= 0.0 else min(-math.log(p), MAX_CLS_LOSS)
-    reg = 0.0
-    if target_delta is not None:
-        reg = sum(
-            smooth_l1(a - b)
-            for a, b in zip(pred_delta.as_tuple(), target_delta.as_tuple())
-        )
-    return RoiLoss(
-        roi_index=roi_index,
-        cls_loss=cls,
-        reg_loss=reg,
-        total=cls + config.reg_loss_weight * reg,
-    )
-
-
-def roi_losses(
     class_probs: np.ndarray,
     pred_deltas: np.ndarray,
     targets: Sequence[tuple[int, BoxDelta | None]],
     config: OhemConfig = OhemConfig(),
 ) -> list[RoiLoss]:
-    """:func:`roi_loss` of R ROIs at once, equal to it row by row.
+    """Multi-task loss of R ROIs: cross-entropy plus smooth-L1 regression.
 
     Row ``i`` of ``class_probs`` (R, K) and ``pred_deltas`` (R, 4) is scored
-    against ``targets[i] = (target_class, target_delta)``.  The checks are
-    ``roi_loss``'s over whole arrays, and a non-finite predicted delta is
-    rejected as ``BoxDelta`` rejects it.  Cross-entropy uses ``math.log`` and
-    the smooth-L1 terms are added in tx, ty, tw, th order, as in ``roi_loss``.
+    against ``targets[i] = (target_class, target_delta)``.  Class 0 is
+    background; background ROIs carry no regression target and contribute
+    no regression loss.  A non-finite predicted delta is rejected as
+    ``BoxDelta`` rejects it.  Cross-entropy uses ``math.log`` and the
+    smooth-L1 terms are added in tx, ty, tw, th order, so each row equals
+    the same loss computed for that ROI alone in Python floats.
     """
     probs = np.asarray(class_probs, dtype=np.float64)
     pred = np.asarray(pred_deltas, dtype=np.float64)
@@ -155,26 +111,17 @@ def select_hard(losses: Sequence[RoiLoss], config: OhemConfig = OhemConfig()) ->
     return [r.roi_index for r in ranked[: config.batch_size]]
 
 
-ForwardFn = Callable[[object], tuple[Sequence[float], BoxDelta]]
-
-
 def ohem_round(
-    rois: Sequence[object],
-    forward_fn: ForwardFn,
+    class_probs: np.ndarray,
+    pred_deltas: np.ndarray,
     targets: Sequence[tuple[int, BoxDelta | None]],
     config: OhemConfig = OhemConfig(),
 ) -> tuple[list[int], list[RoiLoss]]:
-    """One read-only mining round: score every ROI, pick the hardest B.
+    """One read-only mining round over an image's ROIs: :func:`roi_loss` of
+    every ROI, then the hardest B by :func:`select_hard`.
 
-    ``forward_fn(roi)`` must be a deterministic evaluation returning
-    ``(class_probs, pred_delta)`` without mutating model state; ``targets``
-    pairs each ROI with ``(target_class, target_delta)``.
+    The arguments are :func:`roi_loss`'s; the probabilities and deltas come
+    from a forward evaluation that must not have touched any model state.
     """
-    if len(rois) != len(targets):
-        raise ValueError("rois and targets must align")
-    losses = []
-    for i, (roi, (tcls, tdelta)) in enumerate(zip(rois, targets)):
-        probs, pred = forward_fn(roi)
-        losses.append(roi_loss(probs, tcls, pred, tdelta, config, roi_index=i))
+    losses = roi_loss(class_probs, pred_deltas, targets, config)
     return select_hard(losses, config), losses
-

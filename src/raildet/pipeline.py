@@ -5,8 +5,7 @@ batched classification pass -> per-class NMS.  The ROIs travel between the
 stages as the arrays of a :class:`~raildet.proposal.Rois`.
 ``ohem_simulation`` runs the read-only mining pass over a dataset and
 reports which ROIs came out hardest: it pools and scores all ROIs of an
-image in one batched call each and computes their losses as arrays, with
-results equal to the per-ROI ``ohem_round``.
+image in one batched call each, then runs one ``ohem_round`` on them.
 """
 from __future__ import annotations
 
@@ -26,22 +25,18 @@ from .geometry import (
     encode,
     iou_matrix,
 )
-from . import ohem
 from .model import (
     BACKBONE_STRIDES,
     IMAGE_HEIGHT,
     FeatureMap,
     ModelWeights,
-    detect_forward,  # noqa: F401  (perfbench wraps the per-ROI head under this name)
-    detect_forward_batch,
+    detect_forward,
     extract_features,
     roi_pool,
     roi_pool_batch,
     rpn_forward,
 )
-# ohem_round, the per-ROI reference of the mining round, stays importable
-# from here: perfbench wraps it under this name
-from .ohem import OhemConfig, RoiLoss, ohem_round  # noqa: F401
+from .ohem import OhemConfig, RoiLoss, ohem_round
 from .proposal import ProposalConfig, Rois, ScoredBox, nms, propose
 from .voc import Annotation
 
@@ -138,9 +133,9 @@ def detect(
 ) -> list[Detection]:
     """Detect fasteners in one preprocessed 800x1000 image.
 
-    Each ROI is pooled on its own, then one batched head pass scores them
-    all; its rows equal per-ROI ``detect_forward`` calls.  Candidates come
-    in ROI order, then class order, before the per-class NMS.
+    Each ROI is pooled on its own, then one ``detect_forward`` call scores
+    them all.  Candidates come in ROI order, then class order, before the
+    per-class NMS.
     """
     fm, rois = _first_stage(image, weights, config)
 
@@ -153,7 +148,7 @@ def detect(
     img_w, img_h = image.shape[1], image.shape[0]
     candidates: list[Detection] = []
     with _stage("rcnn"):
-        probs, cls_deltas = detect_forward_batch(pooled, weights.det)
+        probs, cls_deltas = detect_forward(pooled, weights.det)
         # "not <=" keeps a NaN probability, which Detection then rejects
         above = np.nonzero(~(probs[:, 1:] <= config.score_threshold))
         for r, ci in zip(*(a.tolist() for a in above)):
@@ -206,10 +201,8 @@ def ohem_simulation(
     truth (foreground above the RCNN IOU threshold), score every ROI with a
     read-only forward pass and select the hardest batch.
 
-    The ROIs of an image are pooled and classified in one batched call each
-    and their losses come from :func:`raildet.ohem.roi_losses`; the result
-    equals :func:`raildet.ohem.ohem_round` over per-ROI ``roi_pool`` and
-    ``detect_forward`` calls.
+    The ROIs of an image are pooled and classified in one batched call each,
+    and one :func:`raildet.ohem.ohem_round` scores and selects them.
     """
     results = []
     for image, ann in dataset:
@@ -229,15 +222,13 @@ def ohem_simulation(
         with _stage("roi_pool"):
             pooled = roi_pool_batch(fm, roi_arr, config.roi_bins)
         with _stage("rcnn"):
-            probs, cls_deltas = detect_forward_batch(pooled, weights.det)
+            probs, cls_deltas = detect_forward(pooled, weights.det)
         # each ROI regresses with the deltas of its likeliest foreground class
         fg = np.argmax(probs[:, 1:], axis=1)
-        losses = ohem.roi_losses(probs, cls_deltas[np.arange(len(rois)), fg], targets, config.ohem)
+        selected, losses = ohem_round(
+            probs, cls_deltas[np.arange(len(rois)), fg], targets, config.ohem
+        )
         results.append(
-            OhemImageResult(
-                selected=ohem.select_hard(losses, config.ohem),
-                losses=losses,
-                roi_classes=[t[0] for t in targets],
-            )
+            OhemImageResult(selected=selected, losses=losses, roi_classes=[t[0] for t in targets])
         )
     return OhemSimResult(per_image=results)

@@ -98,6 +98,8 @@ def resize_bilinear(
     """
     image = np.asarray(image)
     in_h, in_w = image.shape
+    if in_h < 1 or in_w < 1:
+        raise ValueError(f"resize_bilinear needs at least 1x1 pixels, got a {image.shape} plane")
     y0, y1, fy = (a[rows] for a in _taps(in_h, out_h, 0, out_h, 1))
     window, x0, x1, fx = _column_window(in_w, out_w, *cols.indices(out_w))
     if not (y0.size and x0.size):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import per_roi
 from raildet.geometry import BBox
 from raildet.model import _live_channels
 from raildet.oracle import build_oracle_weights
@@ -23,7 +24,6 @@ from raildet.model import (
     apply_batchnorm,
     conv2d_3x3,
     detect_forward,
-    detect_forward_batch,
     extract_features,
     fold_batchnorm,
     load_weights,
@@ -221,13 +221,19 @@ class TestRoiPool:
         assert out[0, 0, 0] == 9.0
 
 
+def forward_one(pooled, head):
+    """:func:`detect_forward` of a single pooled ROI."""
+    probs, deltas = detect_forward(np.asarray(pooled)[None], head)
+    return probs[0], deltas[0]
+
+
 class TestDetectForward:
     def _head(self, seed=18, scale=0.05):
         return random_weights(seed, scale=scale).det
 
     def test_zero_weights_uniform(self):
         head = random_weights(0, scale=0.0).det
-        probs, deltas = detect_forward(np.zeros((7, 7, NUM_CHANNELS)), head)
+        probs, deltas = forward_one(np.zeros((7, 7, NUM_CHANNELS)), head)
         assert np.allclose(probs, 0.2)
         assert np.allclose(deltas, 0.0)
         assert deltas.shape == (4, 4)
@@ -236,7 +242,7 @@ class TestDetectForward:
         rng = np.random.default_rng(19)
         for seed in range(20):
             head = self._head(seed, scale=0.5)
-            probs, _ = detect_forward(rng.normal(size=(7, 7, NUM_CHANNELS)), head)
+            probs, _ = forward_one(rng.normal(size=(7, 7, NUM_CHANNELS)), head)
             assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_hand_set_weights_pick_class(self):
@@ -246,13 +252,34 @@ class TestDetectForward:
         cls_b = np.zeros(NUM_CLASSES)
         cls_b[1] = 4.0  # class V
         head = dataclasses.replace(head, cls_b=cls_b)
-        probs, _ = detect_forward(np.zeros((7, 7, NUM_CHANNELS)), head)
+        probs, _ = forward_one(np.zeros((7, 7, NUM_CHANNELS)), head)
         assert int(np.argmax(probs)) == 1
 
     def test_size_mismatch(self):
         head = self._head()
         with pytest.raises(ValueError):
-            detect_forward(np.zeros((3, 3, NUM_CHANNELS)), head)
+            forward_one(np.zeros((3, 3, NUM_CHANNELS)), head)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_per_roi_reference(self, seed):
+        head = random_weights(seed).det
+        rng = np.random.default_rng(seed)
+        pooled = rng.normal(size=(300, 7, 7, NUM_CHANNELS)) * rng.uniform(0.1, 20)
+        probs, deltas = detect_forward(pooled, head)
+        assert probs.shape == (300, NUM_CLASSES)
+        assert deltas.shape == (300, NUM_CLASSES - 1, 4)
+        for row, p, d in zip(pooled, probs, deltas):
+            want_p, want_d = per_roi.detect_forward(row, head)
+            assert np.array_equal(p, want_p)
+            assert np.array_equal(d, want_d)
+
+    def test_no_rois(self):
+        probs, deltas = detect_forward(np.zeros((0, 7, 7, NUM_CHANNELS)), random_weights(0).det)
+        assert probs.shape == (0, NUM_CLASSES) and deltas.shape == (0, NUM_CLASSES - 1, 4)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match head"):
+            detect_forward(np.zeros((2, 3, 3, NUM_CHANNELS)), random_weights(0).det)
 
 
 class TestBatchNormFolding:
@@ -384,30 +411,6 @@ class TestBadWeightFiles:
         lines = [ln.replace("256 7 3 3", "128 14 3 3") for ln in lines]
         meta.write_text("\n".join(lines) + "\n")
         self._rejected(path, path, "intermediate dimension")
-
-
-class TestDetectForwardBatch:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rows_equal_detect_forward(self, seed):
-        head = random_weights(seed).det
-        rng = np.random.default_rng(seed)
-        pooled = rng.normal(size=(300, 7, 7, NUM_CHANNELS)) * rng.uniform(0.1, 20)
-        probs, deltas = detect_forward_batch(pooled, head)
-        assert probs.shape == (300, NUM_CLASSES)
-        assert deltas.shape == (300, NUM_CLASSES - 1, 4)
-        for row, p, d in zip(pooled, probs, deltas):
-            want_p, want_d = detect_forward(row, head)
-            assert np.array_equal(p, want_p)
-            assert np.array_equal(d, want_d)
-
-    def test_no_rois(self):
-        probs, deltas = detect_forward_batch(np.zeros((0, 7, 7, NUM_CHANNELS)),
-                                             random_weights(0).det)
-        assert probs.shape == (0, NUM_CLASSES) and deltas.shape == (0, NUM_CLASSES - 1, 4)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match head"):
-            detect_forward_batch(np.zeros((2, 3, 3, NUM_CHANNELS)), random_weights(0).det)
 
 
 def einsum_features(image, s):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import per_roi
 from raildet import pipeline
 from raildet.config import (
     ConfigError,
@@ -21,8 +22,7 @@ from raildet.geometry import (
     encode,
     iou_matrix,
 )
-from raildet.model import detect_forward, random_weights, roi_pool
-from raildet.ohem import ohem_round
+from raildet.model import random_weights, roi_pool
 from raildet.oracle import build_oracle_weights, oracle_pipeline_config
 from raildet.proposal import ScoredBox, nms
 from raildet.pipeline import (
@@ -121,7 +121,7 @@ class TestDetect:
     def test_failure_is_tagged_with_its_stage(self, oracle, monkeypatch, stage):
         config, weights = oracle
         layer = {"backbone": "extract_features", "rpn": "rpn_forward",
-                 "proposal": "propose", "roi_pool": "roi_pool", "rcnn": "detect_forward_batch"}
+                 "proposal": "propose", "roi_pool": "roi_pool", "rcnn": "detect_forward"}
 
         def broken(*args, **kwargs):
             raise ValueError("boom")
@@ -142,12 +142,12 @@ class TestDetect:
 
 
 def _detect_reference(image, weights, config):
-    """``detect`` with one ``roi_pool`` and one ``detect_forward`` call per
-    ROI, candidates in ROI order, then class order."""
+    """``detect`` with one ``roi_pool`` and one per-ROI head call per ROI,
+    candidates in ROI order, then class order."""
     fm, rois = pipeline._first_stage(image, weights, config)
     candidates = []
     for roi in rois:
-        probs, deltas = detect_forward(roi_pool(fm, roi.box, config.roi_bins), weights.det)
+        probs, deltas = per_roi.detect_forward(roi_pool(fm, roi.box, config.roi_bins), weights.det)
         for ci, cls in enumerate(CLASS_NAMES):
             p = float(probs[1 + ci])
             if p <= config.score_threshold:
@@ -190,30 +190,28 @@ class TestBatchedDetect:
     def test_one_batched_head_call_per_image(self, monkeypatch):
         config = oracle_pipeline_config()
         weights = random_weights(0)
-        calls = {"roi_pool": 0, "detect_forward_batch": 0}
+        pool_calls = 0
+        head_rows = []
+        original_pool, original_head = pipeline.roi_pool, pipeline.detect_forward
 
-        def counted(name):
-            original = getattr(pipeline, name)
+        def counted_pool(*args, **kwargs):
+            nonlocal pool_calls
+            pool_calls += 1
+            return original_pool(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+        def counted_head(pooled, head):
+            head_rows.append(len(pooled))
+            return original_head(pooled, head)
 
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(pipeline, name, counted(name))
-
-        def per_roi(*args, **kwargs):
-            raise AssertionError("per-ROI head called by detect")
-
-        monkeypatch.setattr(pipeline, "detect_forward", per_roi)
+        monkeypatch.setattr(pipeline, "roi_pool", counted_pool)
+        monkeypatch.setattr(pipeline, "detect_forward", counted_head)
         images = [synthesize_scene(s)[0] for s in range(2)]
-        rois = sum(len(propose_rois(image, weights, config)) for image in images)
+        rois = [len(propose_rois(image, weights, config)) for image in images]
         for image in images:
             detect(image, weights, config)
-        assert calls == {"roi_pool": rois, "detect_forward_batch": len(images)}
-        assert rois == 2 * config.proposal.post_nms_top
+        # one head call per image, over all of its ROIs: none per ROI
+        assert head_rows == rois == [config.proposal.post_nms_top] * 2
+        assert pool_calls == sum(rois)
 
     def test_empty_rois_pass_through(self, oracle):
         # no anchor survives a min-size filter larger than the canvas
@@ -262,10 +260,10 @@ def _ohem_reference(image, ann, weights, config):
             targets.append((0, None))
 
     def forward(roi):
-        probs, deltas = detect_forward(roi_pool(fm, roi.box, config.roi_bins), weights.det)
+        probs, deltas = per_roi.detect_forward(roi_pool(fm, roi.box, config.roi_bins), weights.det)
         return probs, BoxDelta(*deltas[int(np.argmax(probs[1:]))])
 
-    selected, losses = ohem_round(rois, forward, targets, config.ohem)
+    selected, losses = per_roi.ohem_round(rois, forward, targets, config.ohem)
     return selected, losses, [t[0] for t in targets]
 
 
@@ -503,7 +501,7 @@ class TestConfigFile:
 
 class TestBatchedOhem:
     """``ohem_simulation`` pools and scores all ROIs of an image at once; its
-    result must equal the per-ROI ``ohem_round`` path exactly."""
+    result must equal the per-ROI mining round exactly."""
 
     @staticmethod
     def _assert_matches_reference(dataset, weights, config):
@@ -549,30 +547,33 @@ class TestBatchedOhem:
 
     def test_one_batched_pool_and_head_call_per_image(self, oracle, monkeypatch):
         config, weights = oracle
-        calls = {"roi_pool_batch": 0, "detect_forward_batch": 0}
+        rows = {"roi_pool_batch": [], "detect_forward": [], "ohem_round": []}
 
         def counted(name):
             original = getattr(pipeline, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                rows[name].append(len(args[1] if name == "roi_pool_batch" else args[0]))
                 return original(*args, **kwargs)
 
             return wrapper
 
-        for name in calls:
+        for name in rows:
             monkeypatch.setattr(pipeline, name, counted(name))
 
-        def per_roi(*args, **kwargs):
-            raise AssertionError("per-ROI layer called by the mining round")
+        def per_roi_pool(*args, **kwargs):
+            raise AssertionError("per-ROI pool called by the mining round")
 
-        monkeypatch.setattr(pipeline, "roi_pool", per_roi)
-        monkeypatch.setattr(pipeline, "detect_forward", per_roi)
-        ohem_simulation([synthesize_scene(s) for s in range(3)], weights, config)
-        assert calls == {"roi_pool_batch": 3, "detect_forward_batch": 3}
+        monkeypatch.setattr(pipeline, "roi_pool", per_roi_pool)
+        dataset = [synthesize_scene(s) for s in range(3)]
+        rois = [len(propose_rois(image, weights, config)) for image, _ in dataset]
+        ohem_simulation(dataset, weights, config)
+        # one call of each per image, over all of its ROIs: none per ROI
+        assert rows == {name: rois for name in rows}
+        assert all(rois)
 
     @pytest.mark.parametrize("stage, layer", [("roi_pool", "roi_pool_batch"),
-                                              ("rcnn", "detect_forward_batch")])
+                                              ("rcnn", "detect_forward")])
     def test_failure_is_tagged_with_its_stage(self, oracle, monkeypatch, stage, layer):
         config, weights = oracle
 

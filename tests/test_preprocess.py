@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from inspect import signature
 
@@ -72,6 +73,12 @@ class TestResize:
 
     def test_output_shape(self):
         assert resize_bilinear(np.zeros((5, 7)), 11, 3).shape == (11, 3)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_empty_plane_rejected_naming_its_shape(self, shape):
+        message = re.escape(f"at least 1x1 pixels, got a {shape} plane")
+        with pytest.raises(ValueError, match=message):
+            resize_bilinear(np.zeros(shape, np.uint8), 11, 3)
 
 
 class TestPreprocess:
