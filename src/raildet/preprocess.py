@@ -95,6 +95,8 @@ def resize_bilinear(
     rows.  At most the column blend and one float64 array of its size, or
     the blend and twice the output, are live at once, so asking for 32 rows
     of 800 columns at a time keeps them under ~1 MB together.
+
+    A plane with no rows or no columns is a ``ValueError`` naming its shape.
     """
     image = np.asarray(image)
     in_h, in_w = image.shape

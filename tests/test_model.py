@@ -260,27 +260,6 @@ class TestDetectForward:
         with pytest.raises(ValueError):
             forward_one(np.zeros((3, 3, NUM_CHANNELS)), head)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rows_equal_per_roi_reference(self, seed):
-        head = random_weights(seed).det
-        rng = np.random.default_rng(seed)
-        pooled = rng.normal(size=(300, 7, 7, NUM_CHANNELS)) * rng.uniform(0.1, 20)
-        probs, deltas = detect_forward(pooled, head)
-        assert probs.shape == (300, NUM_CLASSES)
-        assert deltas.shape == (300, NUM_CLASSES - 1, 4)
-        for row, p, d in zip(pooled, probs, deltas):
-            want_p, want_d = per_roi.detect_forward(row, head)
-            assert np.array_equal(p, want_p)
-            assert np.array_equal(d, want_d)
-
-    def test_no_rois(self):
-        probs, deltas = detect_forward(np.zeros((0, 7, 7, NUM_CHANNELS)), random_weights(0).det)
-        assert probs.shape == (0, NUM_CLASSES) and deltas.shape == (0, NUM_CLASSES - 1, 4)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match head"):
-            detect_forward(np.zeros((2, 3, 3, NUM_CHANNELS)), random_weights(0).det)
-
 
 class TestBatchNormFolding:
     def test_identity_bn(self):
@@ -411,6 +390,29 @@ class TestBadWeightFiles:
         lines = [ln.replace("256 7 3 3", "128 14 3 3") for ln in lines]
         meta.write_text("\n".join(lines) + "\n")
         self._rejected(path, path, "intermediate dimension")
+
+
+class TestDetectForwardBatch:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_detect_forward(self, seed):
+        head = random_weights(seed).det
+        rng = np.random.default_rng(seed)
+        pooled = rng.normal(size=(300, 7, 7, NUM_CHANNELS)) * rng.uniform(0.1, 20)
+        probs, deltas = detect_forward(pooled, head)
+        assert probs.shape == (300, NUM_CLASSES)
+        assert deltas.shape == (300, NUM_CLASSES - 1, 4)
+        for row, p, d in zip(pooled, probs, deltas):
+            want_p, want_d = per_roi.detect_forward(row, head)
+            assert np.array_equal(p, want_p)
+            assert np.array_equal(d, want_d)
+
+    def test_no_rois(self):
+        probs, deltas = detect_forward(np.zeros((0, 7, 7, NUM_CHANNELS)), random_weights(0).det)
+        assert probs.shape == (0, NUM_CLASSES) and deltas.shape == (0, NUM_CLASSES - 1, 4)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match head"):
+            detect_forward(np.zeros((2, 3, 3, NUM_CHANNELS)), random_weights(0).det)
 
 
 def einsum_features(image, s):

@@ -81,84 +81,6 @@ class TestRoiLoss:
         with pytest.raises(ValueError, match="exactly for foreground"):
             one_row([0.5, 0.5], 0, ZERO, ZERO)  # background carries none
 
-    @staticmethod
-    def _batch(seed, n=200):
-        rng = np.random.default_rng(seed)
-        logits = rng.normal(scale=4.0, size=(n, 5))
-        logits[0] = [0.0, -800.0, -800.0, -800.0, -800.0]  # p = 1 for background
-        logits[1] = [800.0, -800.0, 0.0, 0.0, 0.0]  # foreground p underflows to 0
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
-        pred = rng.normal(scale=1.5, size=(n, 4))
-        classes = rng.choice(5, size=n, p=[0.7, 0.1, 0.1, 0.05, 0.05])
-        classes[0], classes[1] = 0, 2
-        targets = [
-            (int(c), BoxDelta(*rng.normal(scale=1.5, size=4)) if c else None) for c in classes
-        ]
-        return probs, pred, targets
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("weight", [1.0, 0.5, 0.0])
-    def test_equals_per_roi_reference_row_by_row(self, seed, weight):
-        config = OhemConfig(reg_loss_weight=weight)
-        probs, pred, targets = self._batch(seed)
-        got = roi_loss(probs, pred, targets, config)
-        want = [
-            per_roi.roi_loss(p, c, BoxDelta(*d), t, config, roi_index=i)
-            for i, (p, d, (c, t)) in enumerate(zip(probs, pred, targets))
-        ]
-        assert got == want
-        assert got[1].cls_loss == MAX_CLS_LOSS
-        assert any(r.reg_loss > 0 for r in got)
-
-    def test_no_rois(self):
-        assert roi_loss(np.zeros((0, 5)), np.zeros((0, 4)), []) == []
-
-    def _raises(self, probs, pred, targets, match):
-        with pytest.raises(ValueError, match=match):
-            roi_loss(probs, pred, targets)
-
-    def test_nan_probability_rejected(self):
-        probs, pred, targets = self._batch(3)
-        probs[17, 2] = np.nan
-        self._raises(probs, pred, targets, "invalid probability")
-
-    def test_negative_probability_rejected(self):
-        probs, pred, targets = self._batch(3)
-        probs[5] = [1.5, -0.5, 0.0, 0.0, 0.0]
-        self._raises(probs, pred, targets, "invalid probability")
-
-    def test_probabilities_must_sum_to_one(self):
-        probs, pred, targets = self._batch(3)
-        probs[9] *= 0.5
-        self._raises(probs, pred, targets, "sum to")
-
-    @pytest.mark.parametrize("cls", [5, -1])
-    def test_class_out_of_range_rejected(self, cls):
-        probs, pred, targets = self._batch(3)
-        targets[4] = (cls, ZERO)
-        self._raises(probs, pred, targets, "out of range")
-
-    def test_foreground_without_delta_rejected(self):
-        probs, pred, targets = self._batch(3)
-        targets[4] = (1, None)
-        self._raises(probs, pred, targets, "exactly for foreground")
-
-    def test_background_with_delta_rejected(self):
-        probs, pred, targets = self._batch(3)
-        targets[0] = (0, ZERO)
-        self._raises(probs, pred, targets, "exactly for foreground")
-
-    def test_non_finite_predicted_delta_rejected(self):
-        probs, pred, targets = self._batch(3)
-        pred[7, 3] = np.inf
-        self._raises(probs, pred, targets, "non-finite")
-
-    def test_shapes_must_align(self):
-        probs, pred, targets = self._batch(3)
-        self._raises(probs, pred, targets[:-1], "targets need")
-        self._raises(probs, pred[:, :3], targets, "targets need")
-
 
 def make_losses(values):
     return [RoiLoss(i, v, 0.0, v) for i, v in enumerate(values)]
@@ -232,6 +154,86 @@ class TestOhemRound:
 
     def test_is_roi_loss_then_select_hard(self):
         config = OhemConfig(batch_size=17, reg_loss_weight=0.5)
-        probs, pred, targets = TestRoiLoss._batch(4)
+        probs, pred, targets = TestRoiLosses._batch(4)
         losses = roi_loss(probs, pred, targets, config)
         assert ohem_round(probs, pred, targets, config) == (select_hard(losses, config), losses)
+
+
+class TestRoiLosses:
+    @staticmethod
+    def _batch(seed, n=200):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=4.0, size=(n, 5))
+        logits[0] = [0.0, -800.0, -800.0, -800.0, -800.0]  # p = 1 for background
+        logits[1] = [800.0, -800.0, 0.0, 0.0, 0.0]  # foreground p underflows to 0
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        pred = rng.normal(scale=1.5, size=(n, 4))
+        classes = rng.choice(5, size=n, p=[0.7, 0.1, 0.1, 0.05, 0.05])
+        classes[0], classes[1] = 0, 2
+        targets = [
+            (int(c), BoxDelta(*rng.normal(scale=1.5, size=4)) if c else None) for c in classes
+        ]
+        return probs, pred, targets
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("weight", [1.0, 0.5, 0.0])
+    def test_equals_roi_loss_row_by_row(self, seed, weight):
+        config = OhemConfig(reg_loss_weight=weight)
+        probs, pred, targets = self._batch(seed)
+        got = roi_loss(probs, pred, targets, config)
+        want = [
+            per_roi.roi_loss(p, c, BoxDelta(*d), t, config, roi_index=i)
+            for i, (p, d, (c, t)) in enumerate(zip(probs, pred, targets))
+        ]
+        assert got == want
+        assert got[1].cls_loss == MAX_CLS_LOSS
+        assert any(r.reg_loss > 0 for r in got)
+
+    def test_no_rois(self):
+        assert roi_loss(np.zeros((0, 5)), np.zeros((0, 4)), []) == []
+
+    def _raises(self, probs, pred, targets, match):
+        with pytest.raises(ValueError, match=match):
+            roi_loss(probs, pred, targets)
+
+    def test_nan_probability_rejected(self):
+        probs, pred, targets = self._batch(3)
+        probs[17, 2] = np.nan
+        self._raises(probs, pred, targets, "invalid probability")
+
+    def test_negative_probability_rejected(self):
+        probs, pred, targets = self._batch(3)
+        probs[5] = [1.5, -0.5, 0.0, 0.0, 0.0]
+        self._raises(probs, pred, targets, "invalid probability")
+
+    def test_probabilities_must_sum_to_one(self):
+        probs, pred, targets = self._batch(3)
+        probs[9] *= 0.5
+        self._raises(probs, pred, targets, "sum to")
+
+    @pytest.mark.parametrize("cls", [5, -1])
+    def test_class_out_of_range_rejected(self, cls):
+        probs, pred, targets = self._batch(3)
+        targets[4] = (cls, ZERO)
+        self._raises(probs, pred, targets, "out of range")
+
+    def test_foreground_without_delta_rejected(self):
+        probs, pred, targets = self._batch(3)
+        targets[4] = (1, None)
+        self._raises(probs, pred, targets, "exactly for foreground")
+
+    def test_background_with_delta_rejected(self):
+        probs, pred, targets = self._batch(3)
+        targets[0] = (0, ZERO)
+        self._raises(probs, pred, targets, "exactly for foreground")
+
+    def test_non_finite_predicted_delta_rejected(self):
+        probs, pred, targets = self._batch(3)
+        pred[7, 3] = np.inf
+        self._raises(probs, pred, targets, "non-finite")
+
+    def test_shapes_must_align(self):
+        probs, pred, targets = self._batch(3)
+        self._raises(probs, pred, targets[:-1], "targets need")
+        self._raises(probs, pred[:, :3], targets, "targets need")
